@@ -12,7 +12,8 @@ Subcommands::
     surfcomplex invariant evaluate --input collection.json --m-model k3 --seed-value 1
     surfcomplex paramgeo selftest --seed 0 --warp claimed
 
-Exit codes: 0 success/certified, 1 verified-false, 2 input error.  JSON
+Exit codes: 0 success/certified, 1 verified-false, 2 input error, 3
+internal error (an exception the handlers do not map to input errors).  JSON
 output is canonical (sorted keys, compact separators), so identical inputs
 produce byte-identical reports.
 """
@@ -319,29 +320,6 @@ def build_parser():
     return parser
 
 
-REPORT_KEYS = {
-    ("examples", "make"): {"catalog", "members", "k", "h_labels"},
-    ("complex", "build"): {"catalog_sha256", "ambient", "adjunction", "vertices", "excluded", "max_dim"},
-    ("complex", "homology"): {"degree", "betti", "torsion", "group", "note"},
-    ("wallcross", "certify"): {"certified", "conditions", "products", "catalog_sha256"},
-    ("wallcross", "cycle"): {"catalog_sha256", "k", "chain", "complex"},
-    ("bounding", "verify"): {"verified", "sign", "residual", "members", "conditions", "catalog_sha256"},
-    ("constraints", "derive"): {"catalog_sha256", "seed", "members", "constraints", "single_member", "contradiction", "blowup", "notes"},
-    ("invariant", "evaluate"): {"host", "k", "seed", "pairing", "verdicts", "hypotheses", "catalog_sha256"},
-    ("paramgeo", "selftest"): {"seed", "warp", "max_dim", "ok", "checks"},
-}
-
-
-def parse_report(command, subcommand, text):
-    """Round-trip guard: parse a JSON report emitted by a subcommand."""
-    doc = json.loads(text)
-    expected = REPORT_KEYS[(command, subcommand)]
-    missing = expected - set(doc)
-    if missing:
-        raise InputError(f"report for {command} {subcommand} lacks keys {sorted(missing)}")
-    return doc
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -354,6 +332,9 @@ def main(argv=None):
             paramgeo.DomainError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

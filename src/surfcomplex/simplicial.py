@@ -277,9 +277,6 @@ class SimplicialComplex:
     def euler_characteristic(self):
         return sum((-1) ** n * len(level) for n, level in self._by_dim.items())
 
-    def contains_chain(self, chain):
-        return all(s in self for s in chain.terms)
-
     def boundary_matrix(self, n):
         """Matrix of the degree-n boundary map in the sorted simplex bases.
 
@@ -411,14 +408,6 @@ def chain_simin(bd_simplex):
 def chain_simax(bd_simplex):
     """Largest face in a subdivision simplex (an inclusion chain)."""
     return max(bd_simplex.vertices, key=len)
-
-
-def is_inclusion_chain(tuples):
-    seq = sorted(tuples, key=len)
-    for a, b in zip(seq, seq[1:]):
-        if not set(a) < set(b):
-            return False
-    return True
 
 
 # -- filling algorithms -----------------------------------------------------

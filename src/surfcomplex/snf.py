@@ -247,12 +247,6 @@ def solve_integer_system(a, b):
     return [sum(res.v[i][j] * y[j] for j in range(ncols)) for i in range(ncols)]
 
 
-def rank_of(a):
-    if not a or not a[0]:
-        return 0
-    return smith_normal_form(a).rank
-
-
 def fraction_matrix_det(a):
     """Determinant over Q, for small audit matrices."""
     n = len(a)

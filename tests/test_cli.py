@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from surfcomplex.cli import main, parse_report
+from surfcomplex import cli
+from surfcomplex.cli import main
 from surfcomplex.lattice import Catalog, HomologyClass, SurfaceClass
 from surfcomplex.simplicial import chain_from_json, complex_from_json
 from surfcomplex.wallcross import BoundingCollection, WallCrossingCollection
@@ -12,6 +13,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+REPORT_KEYS = {
+    ("examples", "make"): {"catalog", "members", "k", "h_labels"},
+    ("complex", "build"): {"catalog_sha256", "ambient", "adjunction", "vertices", "excluded", "max_dim"},
+    ("complex", "homology"): {"degree", "betti", "torsion", "group", "note"},
+    ("wallcross", "certify"): {"certified", "conditions", "products", "catalog_sha256"},
+    ("wallcross", "cycle"): {"catalog_sha256", "k", "chain", "complex"},
+    ("bounding", "verify"): {"verified", "sign", "residual", "members", "conditions", "catalog_sha256"},
+    ("constraints", "derive"): {"catalog_sha256", "seed", "members", "constraints", "single_member", "contradiction", "blowup", "notes"},
+    ("invariant", "evaluate"): {"host", "k", "seed", "pairing", "verdicts", "hypotheses", "catalog_sha256"},
+    ("paramgeo", "selftest"): {"seed", "warp", "max_dim", "ok", "checks"},
+}
+
+
+def parse_report(command, subcommand, text):
+    """Round-trip guard: parse a JSON report emitted by a subcommand."""
+    doc = json.loads(text)
+    missing = REPORT_KEYS[(command, subcommand)] - set(doc)
+    assert not missing, f"report for {command} {subcommand} lacks keys {sorted(missing)}"
+    return doc
 
 
 @pytest.fixture
@@ -182,6 +204,31 @@ def test_paramgeo_selftest_cli(capsys):
     assert code == 0
     doc = parse_report("paramgeo", "selftest", out)
     assert doc["ok"] is True
+
+
+def test_paramgeo_selftest_max_dim_is_honoured(capsys):
+    code, out, _ = run(capsys, "paramgeo", "selftest", "--max-dim", "4", "--format", "json")
+    assert code == 0
+    checks = {c["name"]: c for c in parse_report("paramgeo", "selftest", out)["checks"]}
+    assert checks["cube-cover"]["points"] == 5 * 5 ** 4
+    assert checks["scale-minimum"]["expected"] == "1/16"
+
+
+def test_paramgeo_selftest_max_dim_out_of_range_exit_2(capsys):
+    code, out, err = run(capsys, "paramgeo", "selftest", "--max-dim", "7")
+    assert code == 2
+    assert out == ""
+    assert "max_dim" in err
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_paramgeo_selftest", broken)
+    code, out, err = run(capsys, "paramgeo", "selftest")
+    assert code == 3
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):

@@ -12,7 +12,6 @@ from surfcomplex.paramgeo import (
     WARP_CLAIMED,
     WARP_PRINTED,
     WeightFunction,
-    all_face_chains,
     all_faces,
     boundary_corner,
     cutoff,
@@ -20,6 +19,7 @@ from surfcomplex.paramgeo import (
     cylinder_length_quadrature,
     decompose_cube_point,
     enumerate_pieces,
+    face,
     in_region,
     inner_cylinder_length,
     lambda_min,
@@ -35,6 +35,7 @@ from surfcomplex.paramgeo import (
     vanishing_certificate,
     vanishing_data,
 )
+from surfcomplex.simplicial import barycentric_subdivision, chain_simax, simplex_complex
 
 
 # -- ramps ---------------------------------------------------------------------
@@ -157,6 +158,23 @@ def _random_monotone_weight(rng, sigma):
     return WeightFunction(values)
 
 
+def _chain_minimum(sigma, a):
+    """Oracle: a(largest face) minimized over every chain of faces of sigma,
+    i.e. over the simplices of its barycentric subdivision."""
+    bd = barycentric_subdivision(simplex_complex(sigma))
+    return min(a.value(chain_simax(s)) for s in bd.simplices())
+
+
+def _increases_somewhere(a, sigma):
+    """Oracle: some nested pair of faces, covering or not, gains weight."""
+    faces = all_faces(sigma)
+    return any(
+        set(small) < set(big) and a.value(big) > a.value(small)
+        for small in faces
+        for big in faces
+    )
+
+
 def test_lambda_min_exhaustive_dims_up_to_four():
     rng = random.Random(6)
     for dim in range(5):
@@ -169,8 +187,47 @@ def test_lambda_min_exhaustive_dims_up_to_four():
             a.check_monotone(sigma)
             # exhaustive enumeration over all chains: affine minimum sits at
             # a chain vertex, so this is the whole candidate set
-            expected = min(a.value(s[-1]) for s in all_face_chains(sigma))
-            assert lambda_min(sigma, a) == expected == a.value(sigma)
+            assert lambda_min(sigma, a) == _chain_minimum(sigma, a) == a.value(sigma)
+
+
+def _strict_weight(rng, sigma):
+    """A random strictly decreasing weight: every face below every facet."""
+    values = {}
+    for f in all_faces(sigma):
+        if len(f) == 1:
+            values[f] = Fraction(1)
+        else:
+            cap = min(values[tuple(sorted(set(f) - {v}))] for v in f)
+            values[f] = cap * Fraction(rng.randint(1, 7), 8)
+    return values
+
+
+def _perturbed_weight(rng, sigma):
+    """A strictly decreasing weight with one face raised above one of its
+    facets that is not a vertex, so the result is not monotone (needs 3+
+    vertices: vertices weigh 1, the largest weight there is)."""
+    values = _strict_weight(rng, sigma)
+    small = rng.choice([f for f in values if 1 < len(f) < len(sigma)])
+    big = face(small + (rng.choice([v for v in sigma if v not in small]),))
+    values[big] = values[small] + (1 - values[small]) * Fraction(rng.randint(1, 8), 8)
+    return values
+
+
+def test_face_scans_match_chain_and_pair_oracles():
+    rng = random.Random(2024)
+    for n in range(1, 6):
+        sigma = tuple("ABCDE"[:n])
+        for i in range(24):
+            monotone = i % 2 == 0 or n < 3
+            values = _strict_weight(rng, sigma) if monotone else _perturbed_weight(rng, sigma)
+            a = WeightFunction(values)
+            assert _increases_somewhere(a, sigma) is not monotone
+            assert lambda_min(sigma, a) == _chain_minimum(sigma, a) == min(values.values())
+            if monotone:
+                assert a.check_monotone(sigma)
+            else:
+                with pytest.raises(DomainError, match="weight increases along"):
+                    a.check_monotone(sigma)
 
 
 def test_lambda_min_interior_never_beats_vertices():
