@@ -26,7 +26,7 @@ import sys
 
 from . import adjunction, paramgeo, wallcross
 from .lattice import Catalog, LatticeError, ManifoldModel, SpinCStructure, k3_model, make_example_family, sphere_model, zero_spinc
-from .simplicial import chain_to_json, complex_to_json, dumps
+from .simplicial import chain_to_json, complex_from_json, complex_to_json, dumps
 from .wallcross import (
     BoundingCollection,
     BoundingError,
@@ -41,6 +41,10 @@ class InputError(Exception):
     pass
 
 
+# the library's validation errors: bad input, reported with exit 2
+VALIDATION_ERRORS = (LatticeError, CollectionError, BoundingError, HypothesisError, paramgeo.DomainError)
+
+
 def load_json(path):
     try:
         with open(path) as fh:
@@ -51,6 +55,21 @@ def load_json(path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+
+
+def load_input(path, decode):
+    """Load the JSON document at ``path`` and decode it with ``decode``;
+    a document that parses but does not decode is an input error naming the
+    path."""
+    doc = load_json(path)
+    try:
+        return decode(doc)
+    except VALIDATION_ERRORS:
+        raise
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from e
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
+        raise InputError(f"{path}: malformed input: {type(e).__name__}: {e}") from e
 
 
 def load_catalog(doc):
@@ -75,9 +94,12 @@ def load_m_model(arg):
     if arg == "s4":
         m = sphere_model()
         return m, zero_spinc(m)
-    doc = load_json(arg)
+    return load_input(arg, decode_m_model)
+
+
+def decode_m_model(doc):
     if "manifold" not in doc or "spinc" not in doc:
-        raise InputError(f"{arg}: model file needs 'manifold' and 'spinc'")
+        raise InputError("model file needs 'manifold' and 'spinc'")
     m = ManifoldModel.from_json(doc["manifold"])
     return m, SpinCStructure.from_json(doc["spinc"], m)
 
@@ -134,7 +156,9 @@ def cmd_examples_make(args):
 
 
 def cmd_complex_build(args):
-    catalog = load_catalog(load_json(args.input))
+    if args.max_dim < 0:
+        raise InputError(f"--max-dim must be >= 0, got {args.max_dim}")
+    catalog = load_input(args.input, load_catalog)
     built = adjunction.build(catalog, args.max_dim)
     doc = {
         "catalog_sha256": catalog.sha256(),
@@ -149,16 +173,16 @@ def cmd_complex_build(args):
 
 
 def cmd_complex_homology(args):
-    doc_in = load_json(args.input)
-    if "simplices" in doc_in:
-        from .simplicial import complex_from_json
-
-        complex_ = complex_from_json(doc_in)
-        sha = None
+    if min(args.deg, args.max_dim) < 0:
+        raise InputError(f"--deg and --max-dim must be >= 0, got {args.deg} and {args.max_dim}")
+    source = load_input(
+        args.input, lambda doc: complex_from_json(doc) if "simplices" in doc else load_catalog(doc)
+    )
+    if isinstance(source, Catalog):
+        complex_ = adjunction.build(source, args.max_dim).adjunction
+        sha = source.sha256()
     else:
-        catalog = load_catalog(doc_in)
-        complex_ = adjunction.build(catalog, args.max_dim).adjunction
-        sha = catalog.sha256()
+        complex_, sha = source, None
     betti, torsion = complex_.homology(args.deg)
     doc = {
         "degree": args.deg,
@@ -174,14 +198,14 @@ def cmd_complex_homology(args):
 
 
 def cmd_wallcross_certify(args):
-    collection = load_collection(load_json(args.input))
+    collection = load_input(args.input, load_collection)
     cert = wallcross.certify(collection)
     emit(args, cert.to_json(), cert.text())
     return 0 if cert.certified else 1
 
 
 def cmd_wallcross_cycle(args):
-    collection = load_collection(load_json(args.input))
+    collection = load_input(args.input, load_collection)
     cycle = wallcross.fundamental_cycle(collection)
     complex_ = wallcross.collection_complex(collection)
     doc = {
@@ -196,8 +220,8 @@ def cmd_wallcross_cycle(args):
 
 
 def cmd_bounding_verify(args):
-    collection = load_collection(load_json(args.input))
-    bounding = BoundingCollection.from_json(load_json(args.bounding))
+    collection = load_input(args.input, load_collection)
+    bounding = load_input(args.bounding, BoundingCollection.from_json)
     verdict = wallcross.verify_bounding(collection.catalog, collection, bounding)
     doc = dict(verdict.to_json())
     doc["catalog_sha256"] = collection.catalog.sha256()
@@ -206,8 +230,8 @@ def cmd_bounding_verify(args):
 
 
 def cmd_constraints_derive(args):
-    collection = load_collection(load_json(args.input))
-    bounding = BoundingCollection.from_json(load_json(args.bounding))
+    collection = load_input(args.input, load_collection)
+    bounding = load_input(args.bounding, BoundingCollection.from_json)
     seed = SWSeed(args.seed_value, args.seed_note)
     report = wallcross.derive_constraints(collection.catalog, collection, bounding, seed)
     emit(args, report.to_json(), report.text())
@@ -215,7 +239,7 @@ def cmd_constraints_derive(args):
 
 
 def cmd_invariant_evaluate(args):
-    collection = load_collection(load_json(args.input))
+    collection = load_input(args.input, load_collection)
     m_model, m_spinc = load_m_model(args.m_model)
     seed = SWSeed(args.seed_value, args.seed_note)
     report = wallcross.evaluate_invariant(collection, seed, m_model, m_spinc)
@@ -224,9 +248,7 @@ def cmd_invariant_evaluate(args):
 
 
 def cmd_paramgeo_selftest(args):
-    report = paramgeo.selftest(
-        seed=args.seed, warp=args.warp, max_dim=args.max_dim, tolerance=args.tolerance
-    )
+    report = paramgeo.selftest(seed=args.seed, warp=args.warp, max_dim=args.max_dim)
     lines = [f"paramgeo selftest (seed {args.seed}, warp {args.warp}): "
              f"{'ok' if report['ok'] else 'FAILED'}"]
     for c in report["checks"]:
@@ -314,7 +336,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warp", choices=paramgeo.WARPS, default=paramgeo.WARP_CLAIMED)
     p.add_argument("--max-dim", type=int, default=3)
-    p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(func=cmd_paramgeo_selftest)
 
     return parser
@@ -325,11 +346,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (LatticeError, CollectionError, BoundingError, HypothesisError,
-            paramgeo.DomainError, ValueError, KeyError) as e:
+    except (InputError, *VALIDATION_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -18,9 +18,11 @@ makes the combinatorial skeleton of that family computable:
   unstretched family, points stretched beyond a computable threshold
   certify that the solution-existence estimate fails, with an exact margin.
 
-Faces of sigma are represented as sorted tuples of vertex ids, chains of
-faces as tuples sorted by length, and chains of chains likewise.  Rational
-inputs stay rational throughout; only the cut-off itself is floating point.
+Faces of sigma are ``simplicial.Simplex`` values, the sorted tuples of
+their vertex ids, so the faces that index a family are the simplices of the
+ambient complex.  Chains of faces are tuples sorted by length, and chains of
+chains likewise.  Rational inputs stay rational throughout; only the cut-off
+itself is floating point.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from scipy.integrate import quad
+
+from . import simplicial
+from .simplicial import Simplex, chain_simax, chain_simin
 
 
 class DomainError(ValueError):
@@ -84,16 +89,14 @@ def stretch_profile(lam, t):
 # -- faces, chains, weights ---------------------------------------------------
 
 def face(ids):
-    vs = tuple(sorted(ids))
-    if len(set(vs)) != len(vs):
-        raise DomainError(f"repeated vertex in face {ids!r}")
-    if not vs:
+    """The ``Simplex`` on ``ids``, which must be nonempty and distinct."""
+    try:
+        f = Simplex(ids)
+    except ValueError as e:
+        raise DomainError(f"repeated vertex in face {ids!r}") from e
+    if not f:
         raise DomainError("faces are nonempty")
-    return vs
-
-
-def is_subface(a, b):
-    return set(a) <= set(b)
+    return f
 
 
 def face_chain(faces):
@@ -105,14 +108,6 @@ def face_chain(faces):
     if not seq:
         raise DomainError("chains are nonempty")
     return seq
-
-
-def chain_min(s):
-    return s[0]
-
-
-def chain_max(s):
-    return s[-1]
 
 
 def nested_chain(chains):
@@ -128,12 +123,7 @@ def nested_chain(chains):
 
 
 def all_faces(sigma):
-    sigma = face(sigma)
-    out = []
-    n = len(sigma)
-    for mask in range(1, 2 ** n):
-        out.append(tuple(sigma[i] for i in range(n) if (mask >> i) & 1))
-    return sorted(out, key=lambda f: (len(f), f))
+    return simplicial.all_faces(face(sigma))
 
 
 class WeightFunction:
@@ -185,8 +175,7 @@ class WeightFunction:
         for big in all_faces(sigma):
             if len(big) == 1:
                 continue
-            for i in range(len(big)):
-                small = big[:i] + big[i + 1:]
+            for small in big.faces():
                 if self.value(big) > self.value(small):
                     raise DomainError(
                         f"weight increases along {small} < {big}: "
@@ -215,12 +204,12 @@ def lambda_of(chains, weights, a):
             raise DomainError(f"barycentric weights sum to {total}, want 1")
     elif abs(total - 1) > 1e-9:
         raise DomainError(f"barycentric weights sum to {total}, want 1")
-    lam = sum(w * a.value(chain_max(s)) for w, s in zip(weights, chains))
+    lam = sum(w * a.value(chain_simax(s)) for w, s in zip(weights, chains))
     for s in chains:
-        bound = a.value(chain_min(s))
+        bound = a.value(chain_simin(s))
         if lam > bound:
             raise DomainError(
-                f"scale {lam} exceeds a({chain_min(s)}) = {bound}; weights not monotone?"
+                f"scale {lam} exceeds a({chain_simin(s)}) = {bound}; weights not monotone?"
             )
     return lam
 
@@ -369,14 +358,13 @@ def metric_descriptor(sigma, s, chains, weights, r, a, warp=WARP_CLAIMED):
     """
     sigma = face(sigma)
     s = face_chain(s)
-    for f in s:
-        if not is_subface(f, sigma):
-            raise DomainError(f"{f} is not a face of {sigma}")
+    if not chain_simax(s).is_face_of(sigma):
+        raise DomainError(f"{chain_simax(s)} is not a face of {sigma}")
     chains = nested_chain(chains)
     for sub in chains:
         if not set(sub) <= set(s):
             raise DomainError(f"{sub} is not a sub-chain of {s}")
-    tau = chain_min(s)
+    tau = chain_simin(s)
     if set(r) != set(tau):
         raise DomainError(f"stretch vector indexed by {sorted(r)}, want {tau}")
     for sid, rv in r.items():
@@ -385,7 +373,7 @@ def metric_descriptor(sigma, s, chains, weights, r, a, warp=WARP_CLAIMED):
     lam = lambda_of(chains, weights, a)
     terms = []
     for w, sub in zip(weights, chains):
-        stretched = chain_min(sub)
+        stretched = chain_simin(sub)
         if not set(tau) <= set(stretched):
             raise DomainError(f"term face {stretched} misses the stretch face {tau}")
         terms.append((w, stretched, lam, dict(r)))
@@ -403,7 +391,7 @@ def boundary_corner(sigma, pinned, tau, big_r):
     tau = face(tau)
     if pinned not in tau:
         raise DomainError(f"{pinned!r} is not a vertex of {tau}")
-    if not is_subface(tau, sigma):
+    if not tau.is_face_of(sigma):
         raise DomainError(f"{tau} is not a face of {sigma}")
     return {v: (big_r if v in tau else 0 * big_r) for v in sigma if v != pinned}
 
@@ -429,13 +417,11 @@ def decompose_cube_point(sigma, pinned, big_r, x):
             raise DomainError(f"coordinate {v}={xv} outside [0, {big_r}]")
     tau = face([pinned] + [v for v in rest if _as_number(x[v]) >= _as_number(half)])
     chain = [tau]
-    current = set(tau)
-    while len(current) < len(sigma):
-        remaining = [v for v in sigma if v not in current]
+    while len(chain[-1]) < len(sigma):
+        remaining = [v for v in sigma if v not in chain[-1]]
         top = max(_as_number(x[v]) for v in remaining)
         best = min(v for v in remaining if _as_number(x[v]) == top)
-        current.add(best)
-        chain.append(face(current))
+        chain.append(chain[-1].joined(best))
     return tau, tuple(chain)
 
 
@@ -461,11 +447,11 @@ def in_region(sigma, pinned, tau, s, big_r, x):
 def _check_piece(sigma, pinned, s, big_r):
     sigma = face(sigma)
     s = face_chain(s)
-    tau = chain_min(s)
+    tau = chain_simin(s)
     if pinned not in tau:
         raise DomainError(f"pinned vertex {pinned!r} not in the smallest face {tau}")
-    if chain_max(s) != sigma:
-        raise DomainError(f"chain must end at {sigma}, ends at {chain_max(s)}")
+    if chain_simax(s) != sigma:
+        raise DomainError(f"chain must end at {sigma}, ends at {chain_simax(s)}")
     if len(s) + len(tau) != len(sigma) + 1:
         raise DomainError(
             f"piece chain must be saturated: {len(s)} faces from {tau} to {sigma}"
@@ -578,8 +564,7 @@ def enumerate_pieces(sigma, pinned):
                 out.append((tau, tuple(chain)))
                 return
             for v in list(remaining):
-                nxt = face(set(chain[-1]) | {v})
-                build(chain + [nxt], [w for w in remaining if w != v])
+                build(chain + [chain[-1].joined(v)], [w for w in remaining if w != v])
 
         build([tau], added_pool)
     return out
@@ -694,7 +679,7 @@ def sample_ext_boundary(sigma, big_r, count, rng, denominator=64):
             raw[0] = 1
         total = sum(raw)
         weights = [Fraction(v, total) for v in raw]
-        tau = chain_min(s)
+        tau = chain_simin(s)
         r = {v: big_r * Fraction(rng.randint(0, denominator), denominator) for v in tau}
         pin = rng.choice(sorted(tau))
         r[pin] = big_r
@@ -751,9 +736,9 @@ def vanishing_certificate(sigma, a, model, big_r, samples, vertex_data, warp=WAR
     margins = []
     for s, chains, weights, r in samples:
         s = face_chain(s)
-        if not is_subface(chain_max(s), sigma):
+        if not chain_simax(s).is_face_of(sigma):
             raise DomainError(f"sample chain {s} is not over {sigma}")
-        tau = chain_min(s)
+        tau = chain_simin(s)
         if set(r) != set(tau):
             raise DomainError(f"sample stretch indexed by {sorted(r)}, want {tau}")
         if not any(rv == big_r for rv in r.values()):
@@ -777,19 +762,19 @@ def vanishing_certificate(sigma, a, model, big_r, samples, vertex_data, warp=WAR
 
 # the cube cover alone checks (max_dim + 1) * 5^max_dim grid points
 SELFTEST_MAX_DIM = 5
+# largest psi round-trip error and closed-form vs quadrature gap accepted
+SELFTEST_TRIP_TOL = 1e-12
+SELFTEST_QUAD_TOL = 1e-9
 
 
-def selftest(seed=0, warp=WARP_CLAIMED, max_dim=3, tolerance=None):
+def selftest(seed=0, warp=WARP_CLAIMED, max_dim=3):
     """Run every property check at desk scale; returns a JSON-able report.
 
     ``max_dim`` is the dimension of the test simplex, at most
-    SELFTEST_MAX_DIM.  ``tolerance`` overrides the round-trip and quadrature
-    thresholds (defaults 1e-12 and 1e-9).
+    SELFTEST_MAX_DIM.
     """
     if not 0 <= max_dim <= SELFTEST_MAX_DIM:
         raise DomainError(f"selftest max_dim must lie in 0..{SELFTEST_MAX_DIM}, got {max_dim}")
-    trip_tol = 1e-12 if tolerance is None else float(tolerance)
-    quad_tol = 1e-9 if tolerance is None else float(tolerance)
     rng = random.Random(seed)
     checks = []
 
@@ -818,7 +803,7 @@ def selftest(seed=0, warp=WARP_CLAIMED, max_dim=3, tolerance=None):
         # the total always exceeds the (warp-dependent) inner length
         if not float(closed) > float(inner_cylinder_length(lam, r, warp)):
             worst = float("inf")
-    checks.append({"name": "cylinder-length", "ok": worst <= quad_tol, "max_deviation": worst})
+    checks.append({"name": "cylinder-length", "ok": worst <= SELFTEST_QUAD_TOL, "max_deviation": worst})
 
     big_r = Fraction(1)
     err = 0.0
@@ -829,7 +814,7 @@ def selftest(seed=0, warp=WARP_CLAIMED, max_dim=3, tolerance=None):
         pinned, tau, s, t, r = psi_inverse(sigma, big_r, x)
         back = psi_forward(sigma, pinned, big_r, s, t, r)
         err = max(err, max(abs(float(back[v]) - float(x[v])) for v in sigma))
-    checks.append({"name": "psi-round-trip", "ok": err <= trip_tol, "max_error": err})
+    checks.append({"name": "psi-round-trip", "ok": err <= SELFTEST_TRIP_TOL, "max_error": err})
 
     cover = q_cover_check(sigma, 1, Fraction(1, 4))
     checks.append(

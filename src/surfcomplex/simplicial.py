@@ -1,11 +1,13 @@
 """Abstract simplicial complexes with exact integer chain algebra.
 
 Vertices are arbitrary hashable, mutually orderable ids (strings, ints,
-tuples).  Simplices are stored with their vertex list sorted; a user-facing
-oriented simplex is any ordering of the vertices and is folded onto the
-canonical order with the sign of the permutation.  Chains and cochains are
-finitely supported integer maps keyed by canonical simplices, so all the
-algebra below is exact.
+tuples).  A face is a ``Simplex``: the tuple of its vertices, strictly
+increasing, so it equals, hashes like and orders like that plain tuple.  It
+is the one face type of the library; ``paramgeo`` indexes its parameter
+families by the same values.  A user-facing oriented simplex is any ordering
+of the vertices and is folded onto the canonical order with the sign of the
+permutation.  Chains and cochains are finitely supported integer maps keyed
+by canonical simplices, so all the algebra below is exact.
 
 The barycentric subdivision of a complex has one vertex per simplex; we use
 the sorted vertex tuple itself as the id of that vertex, so a simplex of the
@@ -16,7 +18,7 @@ its ids.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .snf import smith_normal_form, solve_integer_system
@@ -26,48 +28,55 @@ class DegreeError(ValueError):
     """Chain/cochain degree does not match the operation's contract."""
 
 
-@dataclass(frozen=True, order=True)
-class Simplex:
-    """A finite set of vertices, stored strictly increasing."""
+class Simplex(tuple):
+    """A finite vertex set as its increasing tuple; Simplex(s) is s for a Simplex."""
 
-    vertices: tuple
+    __slots__ = ()
 
-    def __init__(self, vertices):
-        vs = tuple(sorted(vertices))
+    def __new__(cls, vertices):
+        if isinstance(vertices, Simplex):
+            return vertices
+        vs = sorted(vertices)
         for a, b in zip(vs, vs[1:]):
             if a == b:
                 raise ValueError(f"repeated vertex {a!r}")
-        object.__setattr__(self, "vertices", vs)
+        return tuple.__new__(cls, vs)
+
+    @property
+    def vertices(self):
+        """The vertices as a plain tuple."""
+        return tuple(self)
 
     @property
     def dim(self):
-        return len(self.vertices) - 1
-
-    def __contains__(self, v):
-        return v in self.vertices
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
+        return len(self) - 1
 
     def faces(self):
         """The codimension-1 faces, in vertex-removal order."""
-        vs = self.vertices
-        return [Simplex(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
+        return [_sorted_simplex(self[:i] + self[i + 1:]) for i in range(len(self))]
 
     def is_face_of(self, other):
-        return set(self.vertices) <= set(other.vertices)
+        return set(self) <= set(other)
 
     def without(self, v):
-        return Simplex(tuple(x for x in self.vertices if x != v))
+        return _sorted_simplex(x for x in self if x != v)
 
     def joined(self, v):
-        return Simplex(self.vertices + (v,))
+        return Simplex(self + (v,))
 
     def __repr__(self):
-        return f"Simplex{self.vertices!r}"
+        return f"Simplex{tuple(self)!r}"
+
+
+# A Simplex from vertices already strictly increasing, skipping the sort.
+_sorted_simplex = partial(tuple.__new__, Simplex)
+
+
+def all_faces(simplex):
+    """Every nonempty face of a ``Simplex``: by size, then lexicographically."""
+    return [
+        _sorted_simplex(c) for k in range(1, len(simplex) + 1) for c in combinations(simplex, k)
+    ]
 
 
 def permutation_sign(seq):
@@ -100,8 +109,7 @@ class Chain:
         self.terms = {}
         if terms:
             for s, c in dict(terms).items():
-                if not isinstance(s, Simplex):
-                    s = Simplex(s)
+                s = Simplex(s)
                 if s.dim != self.degree:
                     raise DegreeError(f"{s} has dimension {s.dim}, chain degree {self.degree}")
                 if c:
@@ -111,16 +119,14 @@ class Chain:
     @classmethod
     def from_oriented(cls, degree, oriented_terms):
         """Build from ``(vertex-tuple, coeff)`` pairs in arbitrary vertex order."""
-        out = cls(degree)
+        terms = {}
         for verts, c in oriented_terms:
             s, sign = oriented(verts)
-            out = out + cls(degree, {s: sign * c})
-        return out
+            terms[s] = terms.get(s, 0) + sign * int(c)
+        return cls(degree, terms)
 
     def coefficient(self, simplex):
-        if not isinstance(simplex, Simplex):
-            simplex = Simplex(simplex)
-        return self.terms.get(simplex, 0)
+        return self.terms.get(Simplex(simplex), 0)
 
     def is_zero(self):
         return not self.terms
@@ -181,17 +187,14 @@ class Cochain:
         self.values = {}
         if values:
             for s, c in dict(values).items():
-                if not isinstance(s, Simplex):
-                    s = Simplex(s)
+                s = Simplex(s)
                 if s.dim != self.degree:
                     raise DegreeError(f"{s} has dimension {s.dim}, cochain degree {self.degree}")
                 if c:
                     self.values[s] = int(c)
 
     def __call__(self, simplex):
-        if not isinstance(simplex, Simplex):
-            simplex = Simplex(simplex)
-        return self.values.get(simplex, 0)
+        return self.values.get(Simplex(simplex), 0)
 
     def __add__(self, other):
         if self.degree != other.degree:
@@ -238,7 +241,7 @@ class SimplicialComplex:
     def __init__(self, simplices=()):
         self._by_dim = {}
         for s in simplices:
-            self._add_with_faces(s if isinstance(s, Simplex) else Simplex(s))
+            self._add_with_faces(Simplex(s))
 
     def _add_with_faces(self, s):
         stack = [s]
@@ -261,11 +264,10 @@ class SimplicialComplex:
         return sorted(self._by_dim.get(n, ()))
 
     def vertices(self):
-        return [s.vertices[0] for s in self.simplices(0)]
+        return [s[0] for s in self.simplices(0)]
 
     def __contains__(self, s):
-        if not isinstance(s, Simplex):
-            s = Simplex(s)
+        s = Simplex(s)
         return s in self._by_dim.get(s.dim, ())
 
     def __len__(self):
@@ -366,7 +368,7 @@ def full_subcomplex(complex_, vertex_subset):
     if unknown:
         raise ValueError(f"vertices not in complex: {sorted(map(repr, unknown))}")
     return SimplicialComplex(
-        s for s in complex_.simplices() if set(s.vertices) <= keep
+        s for s in complex_.simplices() if keep.issuperset(s)
     )
 
 
@@ -382,32 +384,26 @@ def simplex_complex(vertices):
 # strict inclusion.
 
 def barycentric_subdivision(complex_):
-    faces_of = {}
-    for s in complex_.simplices():
-        faces_of[s.vertices] = [
-            t.vertices for t in complex_.simplices() if t.dim < s.dim and t.is_face_of(s)
-        ]
     chains = []
 
-    def extend(chain, top):
-        chains.append(tuple(chain))
-        for f in faces_of[top]:
-            if set(f) < set(chain[0]):
-                extend([f] + chain, f)
+    def extend(chain):
+        chains.append(chain)
+        for f in all_faces(chain[0])[:-1]:
+            extend((f.vertices,) + chain)
 
     for s in complex_.simplices():
-        extend([s.vertices], s.vertices)
+        extend((s.vertices,))
     return SimplicialComplex(Simplex(c) for c in chains)
 
 
-def chain_simin(bd_simplex):
-    """Smallest face in a subdivision simplex (an inclusion chain)."""
-    return min(bd_simplex.vertices, key=len)
+def chain_simin(faces):
+    """Smallest face in an inclusion chain, such as a subdivision simplex."""
+    return min(faces, key=len)
 
 
-def chain_simax(bd_simplex):
-    """Largest face in a subdivision simplex (an inclusion chain)."""
-    return max(bd_simplex.vertices, key=len)
+def chain_simax(faces):
+    """Largest face in an inclusion chain, such as a subdivision simplex."""
+    return max(faces, key=len)
 
 
 # -- filling algorithms -----------------------------------------------------
@@ -431,7 +427,7 @@ def cone_fill(complex_, cycle, apex):
         raise FillError("input chain is not a cycle")
     if n == 0 and sum(cycle.terms.values()) != 0:
         raise FillError("0-chain coefficients must sum to zero to bound")
-    out = Chain(n + 1)
+    terms = {}
     for s, c in cycle.terms.items():
         if apex in s:
             raise FillError(f"apex {apex!r} already lies in {s}")
@@ -439,9 +435,9 @@ def cone_fill(complex_, cycle, apex):
         if joined not in complex_:
             raise FillError(f"apex {apex!r} is not joinable to {s}")
         # <apex, v_0, ..., v_n> folded onto the canonical vertex order
-        _, sign = oriented((apex,) + s.vertices)
-        out = out + Chain(n + 1, {joined: sign * c})
-    return out
+        _, sign = oriented((apex,) + s)
+        terms[joined] = terms.get(joined, 0) + sign * c
+    return Chain(n + 1, terms)
 
 
 def prism_fill(complex_, cycle, vertex, copy_vertex):
@@ -454,28 +450,26 @@ def prism_fill(complex_, cycle, vertex, copy_vertex):
     n = cycle.degree
     if not cycle.boundary().is_zero():
         raise FillError("input chain is not a cycle")
-    replaced = Chain(n)
-    w = Chain(n + 1)
+    replaced = {}
+    w = {}
     for s, c in cycle.terms.items():
         if copy_vertex in s:
             raise FillError(f"copy vertex {copy_vertex!r} already lies in {s}")
         if vertex not in s:
-            replaced = replaced + Chain(n, {s: c})
+            replaced[s] = replaced.get(s, 0) + c
             continue
-        target = s.without(vertex).joined(copy_vertex)
-        if target not in complex_:
-            raise FillError(f"copy vertex {copy_vertex!r} is not joinable to {s}")
+        rest = s.without(vertex)
+        target = rest.joined(copy_vertex)
         prism = s.joined(copy_vertex)
-        if prism not in complex_:
+        if target not in complex_ or prism not in complex_:
             raise FillError(f"copy vertex {copy_vertex!r} is not joinable to {s}")
-        rest = s.without(vertex).vertices
         # orientation with the replaced vertex pulled to the front
         _, front_sign = oriented((vertex,) + rest)
         _, target_sign = oriented((copy_vertex,) + rest)
-        replaced = replaced + Chain(n, {target: front_sign * target_sign * c})
+        replaced[target] = replaced.get(target, 0) + front_sign * target_sign * c
         _, prism_sign = oriented((copy_vertex, vertex) + rest)
-        w = w + Chain(n + 1, {prism: front_sign * prism_sign * c})
-    return replaced, w
+        w[prism] = w.get(prism, 0) + front_sign * prism_sign * c
+    return Chain(n, replaced), Chain(n + 1, w)
 
 
 def solve_boundary(candidates, target):
@@ -484,7 +478,7 @@ def solve_boundary(candidates, target):
     ``candidates`` is a list of simplices one degree above the target chain.
     Returns a Chain or None when no integer solution exists.
     """
-    candidates = [s if isinstance(s, Simplex) else Simplex(s) for s in candidates]
+    candidates = [Simplex(s) for s in candidates]
     if not candidates:
         return Chain(target.degree + 1) if target.is_zero() else None
     degree = candidates[0].dim
@@ -520,7 +514,7 @@ def _vertex_from_json(v):
 
 
 def complex_to_json(complex_):
-    return {"simplices": [[_vertex_to_json(v) for v in s.vertices] for s in complex_.simplices()]}
+    return {"simplices": [[_vertex_to_json(v) for v in s] for s in complex_.simplices()]}
 
 
 def complex_from_json(doc):
@@ -533,7 +527,7 @@ def chain_to_json(chain):
     return {
         "deg": chain.degree,
         "terms": [
-            {"simplex": [_vertex_to_json(v) for v in s.vertices], "coeff": c}
+            {"simplex": [_vertex_to_json(v) for v in s], "coeff": c}
             for s, c in sorted(chain.terms.items())
         ],
     }

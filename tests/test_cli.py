@@ -231,6 +231,65 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_handler_key_error_is_internal_exit_3(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_paramgeo_selftest", broken)
+    code, out, err = run(capsys, "paramgeo", "selftest")
+    assert code == 3
+    assert err == "internal error: KeyError: 'internal'\n"
+
+
+def test_paramgeo_selftest_tolerance_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["paramgeo", "selftest", "--tolerance", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("complex", "homology", "--deg", "-1"),
+    ("complex", "homology", "--deg", "1", "--max-dim", "-1"),
+    ("complex", "build", "--max-dim", "-1"),
+])
+def test_negative_degree_or_dimension_exit_2(coll_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--input", str(coll_path))
+    assert code == 2 and out == ""
+    assert "must be >= 0" in err
+
+
+def _without_basis(doc):
+    del doc["catalog"]["manifold"]["basis"]
+    return doc["catalog"]
+
+
+def _manifold_as_list(doc):
+    doc["catalog"]["manifold"] = []
+    return doc["catalog"]
+
+
+def _euler_overflows(doc):
+    doc["catalog"]["manifold"]["euler"] = float("inf")
+    return doc["catalog"]
+
+
+@pytest.mark.parametrize("argv, make_doc", [
+    (("homology", "--deg", "1"), lambda doc: {"simplices": 5}),
+    (("homology", "--deg", "1"), lambda doc: {"simplices": [["a", 1]]}),
+    (("build",), _without_basis),
+    (("build",), _manifold_as_list),
+    (("build",), _euler_overflows),
+    (("build",), lambda doc: 5),
+])
+def test_malformed_document_exit_2(coll_path, tmp_path, capsys, argv, make_doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_doc(json.loads(coll_path.read_text()))))
+    code, out, err = run(capsys, "complex", *argv, "--input", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: malformed input: ")
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"manifold": \n  broken')

@@ -35,7 +35,7 @@ from surfcomplex.paramgeo import (
     vanishing_certificate,
     vanishing_data,
 )
-from surfcomplex.simplicial import barycentric_subdivision, chain_simax, simplex_complex
+from surfcomplex.simplicial import Simplex, barycentric_subdivision, chain_simax, simplex_complex
 
 
 # -- ramps ---------------------------------------------------------------------
@@ -81,6 +81,15 @@ def test_cutoff_domain_errors():
 
 
 # -- weights and the scale -------------------------------------------------------
+
+def test_face_is_a_simplex():
+    f = face(("b", "a"))
+    assert isinstance(f, Simplex) and f == ("a", "b")
+    assert face(f) is f
+    for bad in (("a", "b", "a"), (), Simplex(())):
+        with pytest.raises(DomainError):
+            face(bad)
+
 
 def test_weight_vertices_must_be_one():
     w = WeightFunction({("a",): 1, ("a", "b"): Fraction(1, 3)})

@@ -36,8 +36,29 @@ from surfcomplex.simplicial import (
 def test_simplex_sorted_and_dim():
     s = Simplex(("b", "a", "c"))
     assert s.vertices == ("a", "b", "c") and s.dim == 2
+    assert repr(s) == "Simplex('a', 'b', 'c')" and repr(Simplex(("a",))) == "Simplex('a',)"
     with pytest.raises(ValueError):
         Simplex(("a", "a"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), unique=True, max_size=5),
+    st.lists(st.integers(-3, 3), unique=True, max_size=5),
+    st.integers(-3, 3),
+)
+def test_simplex_is_its_sorted_vertex_tuple(a, b, v):
+    s, t = Simplex(a), tuple(sorted(a))
+    assert s == t and hash(s) == hash(t) and {t: 1}[s] == 1
+    assert (s < Simplex(b)) == (t < tuple(sorted(b)))
+    assert (s <= Simplex(b)) == (t <= tuple(sorted(b)))
+    assert type(s.vertices) is tuple and s.vertices == t
+    assert repr(s) == f"Simplex{t!r}"
+    if v in a:
+        with pytest.raises(ValueError):
+            Simplex(a + [v])
+    else:
+        assert Simplex(a + [v]) == s.joined(v) == tuple(sorted(a + [v]))
 
 
 def test_oriented_sign():
@@ -202,6 +223,36 @@ def test_bd_preserves_euler_on_circle():
     K = flag_complex("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], 1)
     bd = barycentric_subdivision(K)
     assert bd.euler_characteristic() == K.euler_characteristic() == 0
+
+
+def _brute_force_subdivision(complex_):
+    """The former construction, kept as the oracle: an all-pairs face scan,
+    then every chain descending from each simplex."""
+    faces_of = {}
+    for s in complex_.simplices():
+        faces_of[s.vertices] = [
+            t.vertices for t in complex_.simplices() if t.dim < s.dim and t.is_face_of(s)
+        ]
+    chains = []
+
+    def extend(chain, top):
+        chains.append(tuple(chain))
+        for f in faces_of[top]:
+            if set(f) < set(chain[0]):
+                extend([f] + chain, f)
+
+    for s in complex_.simplices():
+        extend([s.vertices], s.vertices)
+    return SimplicialComplex(Simplex(c) for c in chains)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bd_matches_brute_force_chain_enumeration(n):
+    K = simplex_complex(tuple("abcd"[:n]))
+    bd = barycentric_subdivision(K)
+    assert bd == _brute_force_subdivision(K)
+    # subdivision vertex ids are plain tuples, so reports print them as before
+    assert all(type(f) is tuple for s in bd.simplices() for f in s)
 
 
 def test_simin_simax():
