@@ -1,9 +1,10 @@
 """Integer chain algebra, certified Smith normal forms, and fillings.
 
-Everything runs on exact integers: boundary and coboundary operators,
-homology via Smith normal form (with unimodular transforms returned for
-audit), and the two filling algorithms that trivialize cycles under a cone
-vertex or transport them to a parallel copy.
+Everything runs on exact integers: boundary and coboundary operators, a
+Smith normal form with its unimodular transforms returned for audit,
+homology by sparse elimination with +-1 pivots followed by a Smith normal
+form of the small residual, and the two filling algorithms that trivialize
+cycles under a cone vertex or transport them to a parallel copy.
 """
 
 import random

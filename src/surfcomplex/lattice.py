@@ -365,10 +365,11 @@ class Catalog:
             raise LatticeError("surface ids must be unique")
         by_id = {s.id: s for s in self.surfaces}
         pairs = set()
-        for pair in self.disjoint:
-            if len(frozenset(pair)) != 2:
-                raise LatticeError(f"disjointness pairs two distinct surfaces, got {set(pair)}")
-            a, b = tuple(pair)
+        # sorted, so that the first bad pair reported does not depend on hashing
+        for pair in sorted(tuple(sorted(p, key=str)) for p in self.disjoint):
+            if len(set(pair)) != 2:
+                raise LatticeError(f"disjointness pairs two distinct surfaces, got {pair}")
+            a, b = pair
             if a not in by_id or b not in by_id:
                 raise LatticeError(f"disjoint pair ({a!r}, {b!r}) references unknown surface")
             if self.manifold.pairing(by_id[a].cls, by_id[b].cls) != 0:

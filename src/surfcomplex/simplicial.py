@@ -21,7 +21,7 @@ import json
 from functools import partial
 from itertools import combinations
 
-from .snf import smith_normal_form, solve_integer_system
+from .snf import rank_and_torsion, solve_integer_system
 
 
 class DegreeError(ValueError):
@@ -279,24 +279,33 @@ class SimplicialComplex:
     def euler_characteristic(self):
         return sum((-1) ** n * len(level) for n, level in self._by_dim.items())
 
-    def boundary_matrix(self, n):
-        """Matrix of the degree-n boundary map in the sorted simplex bases.
-
-        Rows are indexed by (n-1)-simplices, columns by n-simplices.
+    def boundary_columns(self, n):
+        """The degree-n boundary map as ``{row: sign}`` columns, one per sorted
+        n-simplex; rows index the sorted (n-1)-simplices.  Empty in degree 0.
         """
-        rows = self.simplices(n - 1)
         cols = self.simplices(n)
-        index = {s: i for i, s in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
-        for j, s in enumerate(cols):
-            for i, f in enumerate(s.faces()):
-                mat[index[f]][j] = -1 if i % 2 else 1
-        return mat
+        if n <= 0:
+            return [{} for _ in cols]
+        index = {s: i for i, s in enumerate(self.simplices(n - 1))}
+        return [
+            {index[f]: -1 if i % 2 else 1 for i, f in enumerate(s.faces())} for s in cols
+        ]
+
+    def boundary_matrix(self, n):
+        """Dense view of :meth:`boundary_columns`: rows are the (n-1)-simplices,
+        columns the n-simplices.
+        """
+        cols = self.boundary_columns(n)
+        return [[c.get(i, 0) for c in cols] for i in range(len(self._by_dim.get(n - 1, ())))]
 
     def homology(self, n):
         """Integral homology in degree n as ``(betti, torsion divisors)``.
 
-        Computed from the Smith normal forms of the two boundary matrices.
+        Betti = #n-simplices - rank d_n - rank d_{n+1}; torsion = the divisors
+        > 1 of d_{n+1}.  :func:`~surfcomplex.snf.rank_and_torsion` eliminates
+        the sparse boundary columns with +-1 pivots and takes the Smith normal
+        form of the residual only; exact, since the Smith form of the whole is
+        the identity on the unit pivots plus that of the residual.
         Betti/torsion are relative to this finite complex only.
         """
         if n < 0:
@@ -304,19 +313,8 @@ class SimplicialComplex:
         cn = len(self._by_dim.get(n, ()))
         if cn == 0:
             return 0, []
-        if n == 0:
-            rank_n = 0
-        else:
-            mat = self.boundary_matrix(n)
-            rank_n = smith_normal_form(mat).rank if mat and mat[0] else 0
-        up = self.boundary_matrix(n + 1)
-        if up and up[0]:
-            res = smith_normal_form(up)
-            rank_up = res.rank
-            torsion = [d for d in res.divisors if d > 1]
-        else:
-            rank_up = 0
-            torsion = []
+        rank_n, _ = rank_and_torsion(self.boundary_columns(n))
+        rank_up, torsion = rank_and_torsion(self.boundary_columns(n + 1))
         return cn - rank_n - rank_up, torsion
 
     def reduced_betti(self, n):

@@ -6,12 +6,19 @@ rule, which both bounds entry growth in practice and makes the computation
 deterministic.  Correctness is certified by the returned transforms rather
 than by the algorithm: ``u @ a @ v == diag(divisors)`` with ``u`` and ``v``
 unimodular, and callers are expected to check that product when they care.
+
+Homology needs only ranks and torsion, so :func:`rank_and_torsion` takes
+sparse columns, eliminates with +-1 pivots (unimodular column operations)
+and hands only the residual block to :func:`smith_normal_form`.  The pivot
+block is unit triangular and the residual is zero on its rows, so the Smith
+form of the whole is the identity on the pivots plus that of the residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 def identity_matrix(n):
@@ -217,6 +224,61 @@ def smith_normal_form(a):
         nrows=nrows,
         ncols=ncols,
     )
+
+
+def _reduce(column, pivots):
+    """``column`` minus multiples of pivot columns, zero on every pivot row.
+
+    ``pivots`` maps a row to ``(creation index, column)``; a pivot column is
+    zero on the rows of older pivots, so eliminating in creation order never
+    brings back a row already cleared.
+    """
+    col = dict(column)
+    heap = [(pivots[r][0], r) for r in col if r in pivots]
+    heapify(heap)
+    while heap:
+        _, r = heappop(heap)
+        x = col.get(r)
+        if not x:
+            continue
+        p = pivots[r][1]
+        q = x * p[r]
+        for s, y in p.items():
+            old = col.get(s, 0)
+            new = old - q * y
+            if new:
+                col[s] = new
+                if not old and s in pivots:
+                    heappush(heap, (pivots[s][0], s))
+            elif old:
+                del col[s]
+    return col
+
+
+def rank_and_torsion(columns):
+    """``(rank, torsion)`` of the integer matrix with the given sparse columns.
+
+    Each column is a ``{row: value}`` dict.  A reduced column with a +-1
+    entry becomes the pivot of its largest such row; the others are set
+    aside, reduced again against every pivot at the end, and their Smith
+    normal form gives the rest of the rank and the divisors > 1.
+
+    >>> rank_and_torsion([{0: 2, 1: 1}, {0: 2, 1: -1}])
+    (2, [4])
+    """
+    pivots = {}
+    deferred = []
+    for column in columns:
+        col = _reduce(column, pivots)
+        units = [r for r, x in col.items() if x == 1 or x == -1]
+        if units:
+            pivots[max(units)] = (len(pivots), col)
+        elif col:
+            deferred.append(col)
+    residual = [c for c in (_reduce(c, pivots) for c in deferred) if c]
+    rows = sorted({r for c in residual for r in c})
+    divisors = smith_normal_form([[c.get(r, 0) for c in residual] for r in rows]).divisors
+    return len(pivots) + sum(1 for d in divisors if d), [d for d in divisors if d > 1]
 
 
 def solve_integer_system(a, b):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -354,3 +358,24 @@ def test_every_json_report_roundtrips(coll_path, tmp_path, capsys):
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0, key
         parse_report(key[0], key[1], out)
+
+
+def test_catalog_diagnostic_is_independent_of_hash_seed(coll_path, tmp_path):
+    # A catalog whose disjoint pairs all name missing surfaces: the pair
+    # reported must not depend on set iteration order.
+    doc = json.loads(coll_path.read_text())["catalog"]
+    doc["surfaces"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    results = []
+    for hash_seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "surfcomplex.cli", "complex", "build", "--input", str(bad)],
+            capture_output=True, env=env,
+        )
+        results.append((proc.returncode, proc.stderr))
+    assert results[0][0] == 2
+    assert b"('S1+', 'S2+') references unknown surface" in results[0][1]
+    assert all(r == results[0] for r in results)

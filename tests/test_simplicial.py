@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from surfcomplex.simplicial import (
     simplex_complex,
     solve_boundary,
 )
+from surfcomplex.snf import smith_normal_form
 
 
 # -- simplices and orientation -------------------------------------------------
@@ -296,13 +298,14 @@ def test_homology_octahedron_sphere():
     assert verts == sorted(K.vertices())
 
 
+RP2_TRIANGLES = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+]
+
+
 def test_homology_projective_plane():
-    K = SimplicialComplex(
-        [
-            (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-            (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-        ]
-    )
+    K = SimplicialComplex(RP2_TRIANGLES)
     assert K.homology(0) == (1, [])
     assert K.homology(1) == (0, [2])
     assert K.homology(2) == (0, [])
@@ -316,6 +319,56 @@ def test_reduced_betti_of_cone():
     for n in range(4):
         assert coned.reduced_betti(n) == 0
         assert coned.homology(n)[1] == []
+
+
+def test_homology_twice_subdivided_projective_plane():
+    K = barycentric_subdivision(barycentric_subdivision(SimplicialComplex(RP2_TRIANGLES)))
+    assert len(K) == 1081
+    assert [K.homology(n) for n in range(4)] == [(1, []), (0, [2]), (0, []), (0, [])]
+
+
+def dense_snf_homology(K, n):
+    """Oracle: homology from dense boundary matrices and full Smith normal forms."""
+    cn = len(K.simplices(n))
+    if cn == 0:
+        return 0, []
+    rank_n = 0
+    if n > 0:
+        mat = K.boundary_matrix(n)
+        rank_n = smith_normal_form(mat).rank if mat and mat[0] else 0
+    up = K.boundary_matrix(n + 1)
+    if up and up[0]:
+        res = smith_normal_form(up)
+        return cn - rank_n - res.rank, [d for d in res.divisors if d > 1]
+    return cn - rank_n, []
+
+
+@st.composite
+def flag_complex_up_to_ten(draw):
+    n = draw(st.integers(0, 10))
+    pool = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    return flag_complex(range(n), [e for e, k in zip(pool, keep) if k], draw(st.integers(0, 4)))
+
+
+@st.composite
+def triangle_complex(draw):
+    # pure 2-complexes on six vertices, half of them containing RP2, so
+    # that torsion occurs
+    tris = draw(st.sets(st.sampled_from(list(combinations(range(6), 3))), min_size=1))
+    return SimplicialComplex(tris | set(RP2_TRIANGLES) if draw(st.booleans()) else tris)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(flag_complex_up_to_ten(), triangle_complex()))
+def test_homology_matches_dense_snf_oracle(K):
+    for n in range(K.dim + 1):
+        rows = K.simplices(n - 1)
+        for s, col in zip(K.simplices(n), K.boundary_columns(n)):
+            assert {rows[i]: c for i, c in col.items()} == Chain(n, {s: 1}).boundary().terms
+    groups = [K.homology(n) for n in range(K.dim + 2)]
+    assert groups == [dense_snf_homology(K, n) for n in range(K.dim + 2)]
+    assert sum((-1) ** n * betti for n, (betti, _) in enumerate(groups)) == K.euler_characteristic()
 
 
 # -- filling algorithms -----------------------------------------------------------

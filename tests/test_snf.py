@@ -9,6 +9,7 @@ from surfcomplex.snf import (
     bareiss_determinant,
     fraction_matrix_det,
     mat_mul,
+    rank_and_torsion,
     smith_normal_form,
     solve_integer_system,
 )
@@ -143,3 +144,44 @@ def test_entry_growth_tripwire():
     a = [[rng.randint(-50, 50) for _ in range(12)] for _ in range(12)]
     res = assert_certified(a)
     assert max(abs(x) for row in res.u for x in row) < 10 ** 200
+
+
+# -- sparse unit-pivot rank and torsion --------------------------------------------
+
+def columns_of(a, ncols):
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(ncols)]
+
+
+def snf_rank_and_torsion(a):
+    res = smith_normal_form(a)
+    return res.rank, [d for d in res.divisors if d > 1]
+
+
+def test_rank_and_torsion_small_cases():
+    assert rank_and_torsion([]) == (0, [])
+    assert rank_and_torsion([{}, {}]) == (0, [])
+    assert rank_and_torsion([{0: 2}]) == (1, [2])
+    assert rank_and_torsion([{0: -1, 3: 2}, {0: 1, 3: -2}]) == (1, [])
+    # the non-unit column meets the later pivot's row: only the final
+    # re-reduction turns it into the 2 of diag(1, 2)
+    assert rank_and_torsion([{0: 2, 1: 3}, {1: 1}]) == (2, [2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda m: st.integers(0, 8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.lists(st.one_of(st.just(0), st.integers(-4, 4)), min_size=n, max_size=n),
+                    min_size=m,
+                    max_size=m,
+                ),
+            )
+        )
+    )
+)
+def test_rank_and_torsion_matches_snf(shape):
+    n, a = shape
+    assert rank_and_torsion(columns_of(a, n)) == snf_rank_and_torsion(a)

@@ -15,7 +15,7 @@ from surfcomplex.lattice import (
     standard_spinc,
     zero_spinc,
 )
-from surfcomplex.simplicial import Chain, Simplex
+from surfcomplex.simplicial import Chain, Simplex, barycentric_subdivision
 from surfcomplex.wallcross import (
     BoundingCollection,
     BoundingError,
@@ -153,6 +153,12 @@ def test_cycle_support_and_sphere_homology():
             betti, torsion = K.homology(n)
             assert torsion == []
             assert betti == (1 if n == k - 1 else 0)
+
+
+def test_subdivided_collection_sphere_homology():
+    K = barycentric_subdivision(collection_complex(collection(k=4)))
+    assert len(K) == 1696
+    assert [K.homology(n) for n in range(5)] == [(1, []), (0, []), (0, []), (1, []), (0, [])]
 
 
 def test_cycle_requires_certified():
