@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from .lattice import chi_minus
 from .simplicial import SimplicialComplex, flag_complex, full_subcomplex
 
+AMBIENTS = ("null", "nonneg")
+
 
 @dataclass(frozen=True)
 class VertexVerdict:
@@ -55,7 +57,7 @@ class AdjunctionComplex:
             if sid not in known:
                 raise KeyError(f"unknown surface id {sid!r}")
         target = self.adjunction if where == "adjunction" else self.ambient
-        return tuple(sorted(ids)) in {s.vertices for s in target.simplices(len(ids) - 1)}
+        return len(set(ids)) == len(ids) and ids in target
 
     def vertices_report(self):
         return [v.to_json() for v in self.verdicts]
@@ -80,6 +82,17 @@ class AdjunctionComplex:
         return "\n".join(lines)
 
 
+def ambient_complex(catalog, max_dim, ambient="null"):
+    """The flag complex of the declared disjointness relation, up to
+    ``max_dim``, on the surfaces of square zero (``"null"``) or of
+    nonnegative square (``"nonneg"``)."""
+    if ambient not in AMBIENTS:
+        raise ValueError(f"ambient must be 'null' or 'nonneg', got {ambient!r}")
+    squares = {s.id: catalog.manifold.square(s.cls) for s in catalog.surfaces}
+    ids = [sid for sid, sq in squares.items() if sq == 0 or (sq > 0 and ambient == "nonneg")]
+    return flag_complex(ids, catalog.disjoint, max_dim)
+
+
 def build(catalog, max_dim):
     """Build the ambient and adjunction complexes from a catalog.
 
@@ -89,7 +102,6 @@ def build(catalog, max_dim):
     """
     manifold, spinc = catalog.manifold, catalog.spinc
     verdicts = []
-    null_ids = []
     violators = []
     excluded = []
     for s in catalog.surfaces:
@@ -104,7 +116,6 @@ def build(catalog, max_dim):
                 )
             )
             continue
-        null_ids.append(s.id)
         is_violator = chi_minus(s.genus) < abs(pairing)
         if is_violator:
             violators.append(s.id)
@@ -115,12 +126,8 @@ def build(catalog, max_dim):
             VertexVerdict(s.id, s.genus, chi_minus(s.genus), pairing, sq, is_violator, reason)
         )
 
-    null_set = set(null_ids)
-    edges = [tuple(sorted(p)) for p in catalog.disjoint if set(p) <= null_set]
-    ambient = flag_complex(null_ids, edges, max_dim)
-    adjunction = (
-        full_subcomplex(ambient, violators) if violators else SimplicialComplex()
-    )
+    ambient = ambient_complex(catalog, max_dim)
+    adjunction = full_subcomplex(ambient, violators)
     return AdjunctionComplex(
         catalog=catalog,
         ambient=ambient,

@@ -18,6 +18,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class LatticeError(ValueError):
@@ -45,6 +46,13 @@ def int_from_json(v):
     if isinstance(v, str) and re.fullmatch(r"[+-]?[0-9]+", v):
         return int(v)
     raise LatticeError(f"expected integer or decimal string, got {v!r}")
+
+
+def json_int(v):
+    """A JSON integer field; bools, floats and strings raise ``TypeError``."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected a JSON integer, got {v!r}")
+    return v
 
 
 class HomologyClass:
@@ -143,10 +151,10 @@ class AggregateSummand:
     def from_json(cls, doc):
         return cls(
             name=str(doc["name"]),
-            b_plus=int(doc["b_plus"]),
-            b_minus=int(doc["b_minus"]),
-            euler=int(doc["euler"]),
-            signature=int(doc["signature"]),
+            b_plus=json_int(doc["b_plus"]),
+            b_minus=json_int(doc["b_minus"]),
+            euler=json_int(doc["euler"]),
+            signature=json_int(doc["signature"]),
             c1_square=int_from_json(doc["c1_square"]),
             sw_value=int_from_json(doc["sw_value"]) if "sw_value" in doc else None,
         )
@@ -181,7 +189,7 @@ class ManifoldModel:
                 f"plus aggregates ({agg_sig})"
             )
 
-    @property
+    @cached_property
     def squares(self):
         return dict(self.basis)
 
@@ -203,7 +211,7 @@ class ManifoldModel:
     def pairing(self, a, b):
         """Diagonal intersection pairing of two classes on this basis."""
         squares = self.squares
-        unknown = (a.support() | b.support()) - set(squares)
+        unknown = (a.support() | b.support()) - squares.keys()
         if unknown:
             raise LatticeError(f"classes use labels outside the basis: {sorted(map(str, unknown))}")
         return sum(v * b.coeffs.get(lab, 0) * squares[lab] for lab, v in a.coeffs.items())
@@ -224,9 +232,9 @@ class ManifoldModel:
     def from_json(cls, doc):
         return cls(
             name=str(doc.get("name", "manifold")),
-            basis=tuple((b["label"], int(b["square"])) for b in doc["basis"]),
-            euler=int(doc["euler"]),
-            signature=int(doc["signature"]),
+            basis=tuple((b["label"], json_int(b["square"])) for b in doc["basis"]),
+            euler=json_int(doc["euler"]),
+            signature=json_int(doc["signature"]),
             aggregates=tuple(
                 AggregateSummand.from_json(a) for a in doc.get("aggregate_summands", ())
             ),
@@ -324,7 +332,7 @@ class SurfaceClass:
         return cls(
             id=str(doc["id"]),
             cls=HomologyClass.from_json(doc["class"]),
-            genus=int(doc["genus"]),
+            genus=json_int(doc["genus"]),
             support=frozenset(doc.get("support", ())),
         )
 
@@ -380,6 +388,7 @@ class Catalog:
             pairs.add(frozenset((a, b)))
         object.__setattr__(self, "disjoint", frozenset(pairs))
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
+        object.__setattr__(self, "_by_id", by_id)
         for s in self.surfaces:
             unknown = s.cls.support() - set(self.manifold.labels)
             if unknown:
@@ -388,10 +397,10 @@ class Catalog:
                 )
 
     def surface(self, sid):
-        for s in self.surfaces:
-            if s.id == sid:
-                return s
-        raise LatticeError(f"unknown surface id {sid!r}")
+        try:
+            return self._by_id[sid]
+        except (KeyError, TypeError):
+            raise LatticeError(f"unknown surface id {sid!r}") from None
 
     def ids(self):
         return tuple(s.id for s in self.surfaces)

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from scipy.integrate import quad
-
 from . import simplicial
 from .simplicial import Simplex, chain_simax, chain_simin
 
@@ -99,27 +97,25 @@ def face(ids):
     return f
 
 
-def face_chain(faces):
-    """Normalize a strictly increasing chain of faces, shortest first."""
-    seq = tuple(sorted((face(f) for f in faces), key=lambda f: (len(f), f)))
+def _strict_chain(items, what):
+    seq = tuple(sorted(items, key=lambda x: (len(x), x)))
     for x, y in zip(seq, seq[1:]):
         if not (set(x) < set(y)):
-            raise DomainError(f"not a strict chain of faces: {x} then {y}")
+            raise DomainError(f"not a strict chain of {what}: {x} then {y}")
     if not seq:
         raise DomainError("chains are nonempty")
     return seq
+
+
+def face_chain(faces):
+    """Normalize a strictly increasing chain of faces, shortest first."""
+    return _strict_chain((face(f) for f in faces), "faces")
 
 
 def nested_chain(chains):
     """A strictly increasing chain of sub-chains (a subdivision simplex of
     a subdivision simplex), shortest first."""
-    seq = tuple(sorted((face_chain(c) for c in chains), key=lambda c: (len(c), c)))
-    for x, y in zip(seq, seq[1:]):
-        if not (set(x) < set(y)):
-            raise DomainError(f"not a strict chain of chains: {x} then {y}")
-    if not seq:
-        raise DomainError("chains are nonempty")
-    return seq
+    return _strict_chain((face_chain(c) for c in chains), "chains")
 
 
 def all_faces(sigma):
@@ -270,6 +266,9 @@ def cylinder_length(lam, r, warp=WARP_CLAIMED):
 
 def cylinder_length_quadrature(lam, r, warp=WARP_CLAIMED):
     """Independent evaluation of Lambda by adaptive quadrature."""
+    # imported here: scipy dominates start-up and nothing else needs it
+    from scipy.integrate import quad
+
     lam_f, r_f = float(lam), float(r)
 
     if warp == WARP_CLAIMED:
@@ -425,6 +424,15 @@ def decompose_cube_point(sigma, pinned, big_r, x):
     return tau, tuple(chain)
 
 
+def _added_vertices(s):
+    """The vertex each step of a saturated chain of faces adds."""
+    added = []
+    for small, big in zip(s, s[1:]):
+        (new,) = set(big) - set(small)
+        added.append(new)
+    return added
+
+
 def in_region(sigma, pinned, tau, s, big_r, x):
     """Membership of a cube point in the closed region of a piece (tau, s)."""
     sigma = face(sigma)
@@ -434,11 +442,7 @@ def in_region(sigma, pinned, tau, s, big_r, x):
     for v in tau:
         if v != pinned and not half <= _as_number(x[v]) <= _as_number(big_r):
             return False
-    added = []
-    for small, big in zip(s, s[1:]):
-        (new,) = set(big) - set(small)
-        added.append(new)
-    values = [_as_number(x[v]) for v in added]
+    values = [_as_number(x[v]) for v in _added_vertices(s)]
     if any(v > half for v in values):
         return False
     return all(a >= b for a, b in zip(values, values[1:]))
@@ -503,10 +507,7 @@ def psi_forward(sigma, pinned, big_r, s, t, r):
 def psi_inverse_piece(sigma, pinned, big_r, s, x):
     """Invert the forward map on one piece; x omits the pinned coordinate."""
     sigma, s, tau = _check_piece(sigma, pinned, s, big_r)
-    added = []
-    for small, big in zip(s, s[1:]):
-        (new,) = set(big) - set(small)
-        added.append(new)
+    added = _added_vertices(s)
     k = len(added)
     two = 2 if isinstance(big_r, (int, Fraction)) else 2.0
     tails = [two * x[v] / big_r for v in added]  # t_{i+1} + ... + t_k

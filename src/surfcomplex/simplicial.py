@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 
 from .snf import rank_and_torsion, solve_integer_system
 
@@ -236,23 +236,18 @@ def coboundary(complex_, cochain):
 
 
 class SimplicialComplex:
-    """A downward-closed set of simplices, indexed by dimension."""
+    """A downward-closed set of simplices, indexed by dimension.  The input
+    is bucketed by dimension and closed in one pass from the top down: each
+    level adds its facets to the level below."""
 
     def __init__(self, simplices=()):
-        self._by_dim = {}
-        for s in simplices:
-            self._add_with_faces(Simplex(s))
-
-    def _add_with_faces(self, s):
-        stack = [s]
-        while stack:
-            cur = stack.pop()
-            level = self._by_dim.setdefault(cur.dim, set())
-            if cur in level:
-                continue
-            level.add(cur)
-            if cur.dim > 0:
-                stack.extend(cur.faces())
+        by_dim = {}
+        for s in map(Simplex, simplices):
+            by_dim.setdefault(len(s) - 1, set()).add(s)
+        for n in range(max(by_dim, default=0), 0, -1):
+            facets = chain.from_iterable(combinations(s, n) for s in by_dim[n])
+            by_dim.setdefault(n - 1, set()).update(map(_sorted_simplex, facets))
+        self._by_dim = by_dim
 
     @property
     def dim(self):
@@ -329,7 +324,9 @@ def flag_complex(vertex_ids, disjoint_pairs, max_dim):
 
     Simplices are exactly the cliques of the relation with at most
     ``max_dim + 1`` vertices.  The truncation is mandatory: ambient
-    complexes are unbounded in principle.
+    complexes are unbounded in principle.  Each clique is emitted once,
+    sorted, grown from the common neighbours above its last vertex
+    (incremental expansion, Zomorodian 2010).
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -341,33 +338,29 @@ def flag_complex(vertex_ids, disjoint_pairs, max_dim):
         if a in adj and b in adj:
             adj[a].add(b)
             adj[b].add(a)
-    simplices = [Simplex((v,)) for v in vertex_ids]
-    frontier = [(v,) for v in vertex_ids]
-    for _ in range(max_dim):
-        nxt = []
-        for clique in frontier:
-            last = clique[-1]
-            common = set.intersection(*(adj[v] for v in clique)) if clique else set()
-            for v in sorted(common):
-                if v > last:
-                    ext = clique + (v,)
-                    simplices.append(Simplex(ext))
-                    nxt.append(ext)
-        if not nxt:
-            break
-        frontier = nxt
-    return SimplicialComplex(simplices)
+
+    def cliques(clique, above):
+        for i, v in enumerate(above):
+            bigger = clique + (v,)
+            yield _sorted_simplex(bigger)
+            if len(bigger) <= max_dim:
+                yield from cliques(bigger, [u for u in above[i + 1:] if u in adj[v]])
+
+    return SimplicialComplex(cliques((), vertex_ids))
 
 
 def full_subcomplex(complex_, vertex_subset):
     """Simplices of ``complex_`` all of whose vertices lie in the subset."""
     keep = set(vertex_subset)
-    unknown = keep - set(complex_.vertices())
+    unknown = [v for v in keep if (v,) not in complex_]
     if unknown:
         raise ValueError(f"vertices not in complex: {sorted(map(repr, unknown))}")
-    return SimplicialComplex(
-        s for s in complex_.simplices() if keep.issuperset(s)
-    )
+    sub = SimplicialComplex()
+    for n, level in complex_._by_dim.items():
+        kept = {s for s in level if keep.issuperset(s)}
+        if kept:
+            sub._by_dim[n] = kept
+    return sub
 
 
 def simplex_complex(vertices):

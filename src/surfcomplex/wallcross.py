@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .adjunction import AMBIENTS, ambient_complex
 from .lattice import (
     Catalog,
     LatticeError,
@@ -27,6 +28,7 @@ from .lattice import (
     chi_minus,
     connected_sum,
     formal_dimension,
+    json_int,
 )
 from .simplicial import Chain, FillError, cone_fill, flag_complex, oriented
 
@@ -55,7 +57,7 @@ class SWSeed:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(int(doc["value"]), str(doc.get("note", "")))
+        return cls(json_int(doc["value"]), str(doc.get("note", "")))
 
 
 SIGNS = ("+", "-")
@@ -176,6 +178,15 @@ class Certificate:
         return "\n".join(lines)
 
 
+def _cross_index_pairs(collection):
+    """Every pair of members with different indices, by index then sign."""
+    k = collection.k
+    return [
+        (collection.member(i, ei), collection.member(j, ej))
+        for i in range(1, k + 1) for j in range(i + 1, k + 1) for ei in SIGNS for ej in SIGNS
+    ]
+
+
 def certify(collection):
     """Check every defining condition of a wall-crossing collection.
 
@@ -233,14 +244,7 @@ def certify(collection):
             )
         )
 
-    bad_pairs = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for ei in SIGNS:
-                for ej in SIGNS:
-                    a, b = collection.member(i, ei), collection.member(j, ej)
-                    if not cat.are_disjoint(a, b):
-                        bad_pairs.append((a, b))
+    bad_pairs = [(a, b) for a, b in _cross_index_pairs(collection) if not cat.are_disjoint(a, b)]
     conditions.append(
         CheckItem(
             "cross-index-disjoint",
@@ -271,15 +275,9 @@ def certify(collection):
 
 def collection_complex(collection):
     """The subcomplex spanned by the collection: a (k-1)-sphere."""
-    ids = collection.member_ids()
-    edges = []
-    k = collection.k
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for ei in SIGNS:
-                for ej in SIGNS:
-                    edges.append((collection.member(i, ei), collection.member(j, ej)))
-    return flag_complex(ids, edges, max_dim=max(k - 1, 0))
+    return flag_complex(
+        collection.member_ids(), _cross_index_pairs(collection), max_dim=max(collection.k - 1, 0)
+    )
 
 
 def fundamental_cycle(collection, check=True):
@@ -320,7 +318,7 @@ class BoundingCollection:
     ambient: str = "null"
 
     def __post_init__(self):
-        if self.ambient not in ("null", "nonneg"):
+        if self.ambient not in AMBIENTS:
             raise BoundingError(f"ambient must be 'null' or 'nonneg', got {self.ambient!r}")
         object.__setattr__(
             self,
@@ -347,7 +345,7 @@ class BoundingCollection:
     @classmethod
     def from_json(cls, doc):
         return cls(
-            terms=tuple((int(t["coeff"]), tuple(t["simplex"])) for t in doc["terms"]),
+            terms=tuple((json_int(t["coeff"]), tuple(t["simplex"])) for t in doc["terms"]),
             ambient=str(doc.get("ambient", "null")),
         )
 
@@ -459,23 +457,13 @@ def verify_bounding(host_catalog, collection, bounding):
     )
 
 
-def _ambient_flag_complex(catalog, ambient, max_dim):
-    if ambient == "null":
-        ids = [sid for sid in catalog.ids() if catalog.self_intersection(sid) == 0]
-    else:
-        ids = [sid for sid in catalog.ids() if catalog.self_intersection(sid) >= 0]
-    keep = set(ids)
-    edges = [tuple(sorted(p)) for p in catalog.disjoint if set(p) <= keep]
-    return flag_complex(ids, edges, max_dim)
-
-
 def cone_bounding(host_catalog, collection, apex_id, ambient="null"):
     """The one-surface bounding: cone the fundamental cycle off at a vertex.
 
     The apex must be declared disjoint from every collection member.
     """
     coll = collection.re_host(host_catalog)
-    complex_ = _ambient_flag_complex(host_catalog, ambient, coll.k)
+    complex_ = ambient_complex(host_catalog, coll.k, ambient)
     z = fundamental_cycle(coll)
     try:
         w = cone_fill(complex_, z, apex_id)

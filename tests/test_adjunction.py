@@ -1,6 +1,10 @@
-import pytest
+from itertools import combinations
 
-from surfcomplex.adjunction import build
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surfcomplex.adjunction import ambient_complex, build
 from surfcomplex.lattice import (
     Catalog,
     HomologyClass,
@@ -9,7 +13,7 @@ from surfcomplex.lattice import (
     projective_sum_model,
     standard_spinc,
 )
-from surfcomplex.simplicial import Simplex
+from surfcomplex.simplicial import Simplex, flag_complex
 
 
 def _k2_catalog():
@@ -104,3 +108,62 @@ def test_vertices_report_is_json():
     rows = built.vertices_report()
     json.dumps(rows)
     assert all(row["violator"] for row in rows)
+
+
+# brute-force oracles for the ambient and adjunction complexes
+
+@st.composite
+def orthogonal_catalog(draw):
+    """Violators S1..Sn of square zero, a square-zero non-violator T, a
+    positive-square P and a negative-square N, with a random disjointness
+    relation among the pairs that pair to zero."""
+    n = draw(st.integers(1, 5))
+    m = projective_sum_model(n + 1, n + 1)
+    surfaces = [
+        SurfaceClass(f"S{i}", HomologyClass({f"H{i}": 1, f"E{i}": -1}), 0) for i in range(1, n + 1)
+    ]
+    surfaces += [
+        SurfaceClass("T", HomologyClass({f"H{n + 1}": 4, f"E{n + 1}": -4}), 5),
+        SurfaceClass("P", HomologyClass({"H1": 1}), 0),
+        SurfaceClass("N", HomologyClass({"E1": 1}), 0),
+    ]
+    pool = [(a.id, b.id) for a, b in combinations(surfaces, 2) if m.pairing(a.cls, b.cls) == 0]
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    disjoint = frozenset(frozenset(p) for p, k in zip(pool, keep) if k)
+    return Catalog(m, standard_spinc(m), tuple(surfaces), disjoint)
+
+
+def _reference_ambient(catalog, ambient, max_dim):
+    # the ambient builder as it stood in wallcross before it moved here
+    if ambient == "null":
+        ids = [sid for sid in catalog.ids() if catalog.self_intersection(sid) == 0]
+    else:
+        ids = [sid for sid in catalog.ids() if catalog.self_intersection(sid) >= 0]
+    keep = set(ids)
+    edges = [tuple(sorted(p)) for p in catalog.disjoint if set(p) <= keep]
+    return flag_complex(ids, edges, max_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_catalog(), st.integers(0, 3))
+def test_ambient_complex_matches_reference(cat, max_dim):
+    for ambient in ("null", "nonneg"):
+        assert ambient_complex(cat, max_dim, ambient) == _reference_ambient(cat, ambient, max_dim)
+    assert build(cat, max_dim).ambient == ambient_complex(cat, max_dim)
+    assert "P" in ambient_complex(cat, max_dim, "nonneg").vertices()
+    with pytest.raises(ValueError):
+        ambient_complex(cat, max_dim, "all")
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_catalog(), st.integers(0, 3), st.data())
+def test_is_simplex_matches_pairwise_disjointness(cat, max_dim, data):
+    built = build(cat, max_dim)
+    null_ids = ["T"] + [sid for sid in cat.ids() if sid.startswith("S")]
+    ids = data.draw(st.lists(st.sampled_from(null_ids), min_size=1, max_size=4))
+    clique = (
+        len(set(ids)) == len(ids) <= max_dim + 1
+        and all(cat.are_disjoint(a, b) for a, b in combinations(ids, 2))
+    )
+    assert built.is_simplex(ids, where="ambient") == clique
+    assert built.is_simplex(ids) == (clique and "T" not in ids)

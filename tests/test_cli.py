@@ -174,6 +174,18 @@ def test_bounding_verify_and_mutation(coll_path, tmp_path, capsys):
     assert "residual" in out
 
 
+def test_bounding_coefficient_must_be_integer(coll_path, tmp_path, capsys):
+    host_path, bnd_path, _ = _host_collection_with_cone(coll_path, tmp_path)
+    doc = json.loads(bnd_path.read_text())
+    doc["terms"][0]["coeff"] = 0.5
+    bnd_path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "bounding", "verify", "--input", str(host_path), "--bounding", str(bnd_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bnd_path}: malformed input: TypeError: ")
+
+
 def test_constraints_derive(coll_path, tmp_path, capsys):
     host_path, bnd_path, _ = _host_collection_with_cone(coll_path, tmp_path)
     code, out, _ = run(
@@ -278,6 +290,21 @@ def _euler_overflows(doc):
     return doc["catalog"]
 
 
+def _genus_fractional(doc):
+    doc["catalog"]["surfaces"][0]["genus"] = 1.9
+    return doc["catalog"]
+
+
+def _genus_bool(doc):
+    doc["catalog"]["surfaces"][0]["genus"] = True
+    return doc["catalog"]
+
+
+def _square_fractional(doc):
+    doc["catalog"]["manifold"]["basis"][0]["square"] = 1.5
+    return doc["catalog"]
+
+
 @pytest.mark.parametrize("argv, make_doc", [
     (("homology", "--deg", "1"), lambda doc: {"simplices": 5}),
     (("homology", "--deg", "1"), lambda doc: {"simplices": [["a", 1]]}),
@@ -285,6 +312,9 @@ def _euler_overflows(doc):
     (("build",), _manifold_as_list),
     (("build",), _euler_overflows),
     (("build",), lambda doc: 5),
+    (("build",), _genus_fractional),
+    (("build",), _genus_bool),
+    (("build",), _square_fractional),
 ])
 def test_malformed_document_exit_2(coll_path, tmp_path, capsys, argv, make_doc):
     bad = tmp_path / "bad.json"
@@ -379,3 +409,11 @@ def test_catalog_diagnostic_is_independent_of_hash_seed(coll_path, tmp_path):
     assert results[0][0] == 2
     assert b"('S1+', 'S2+') references unknown surface" in results[0][1]
     assert all(r == results[0] for r in results)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the quadrature oracle; importing it dominates start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, surfcomplex.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0

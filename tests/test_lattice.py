@@ -412,6 +412,20 @@ def test_catalog_json_roundtrip():
     assert back.sha256() == cat.sha256()
 
 
+def test_catalog_surface_lookup_and_cached_squares():
+    cat = _small_catalog()
+    for s in cat.surfaces:
+        assert cat.surface(s.id) is s
+    for sid in ("nope", ["S1+"], None):
+        with pytest.raises(LatticeError, match="unknown surface id"):
+            cat.surface(sid)
+    m = cat.manifold
+    assert m.squares is m.squares and m.squares == dict(m.basis)
+    twin = Catalog.from_json(cat.to_json())
+    assert twin == cat and hash(twin) == hash(cat)
+    assert twin.to_json() == cat.to_json() and twin.sha256() == cat.sha256()
+
+
 def test_catalog_json_roundtrip_with_aggregates_and_big_ints():
     k3 = k3_model()
     n = projective_sum_model(1, 4)

@@ -206,6 +206,76 @@ def test_full_subcomplex():
         full_subcomplex(K, ("z",))
 
 
+# brute-force oracles for the construction layer
+
+@st.composite
+def small_graph(draw):
+    """Up to nine vertices; every edge drawn in a random orientation."""
+    n = draw(st.integers(0, 9))
+    pool = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    flip = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    return n, [e[::-1] if f else e for e, k, f in zip(pool, keep, flip) if k]
+
+
+@st.composite
+def unclosed_simplices(draw):
+    """Vertex lists in arbitrary order, not closed, repeating some entries,
+    sometimes with the empty simplex."""
+    tops = draw(st.lists(st.lists(st.integers(0, 6), unique=True, max_size=5), max_size=8))
+    repeats = draw(st.lists(st.sampled_from(tops), max_size=3)) if tops else []
+    return tops + [t[::-1] for t in repeats]
+
+
+def _levels(K):
+    return {n: K.simplices(n) for n in range(-1, K.dim + 1) if K.simplices(n)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graph(), st.integers(0, 4))
+def test_flag_complex_matches_brute_force_cliques(graph, max_dim):
+    n, edges = graph
+    related = {frozenset(e) for e in edges}
+    cliques = [
+        c for k in range(1, max_dim + 2) for c in combinations(range(n), k)
+        if all(frozenset(p) in related for p in combinations(c, 2))
+    ]
+    K = flag_complex(range(n), edges, max_dim)
+    assert K.simplices() == sorted(cliques)
+    assert all(type(s) is Simplex for s in K.simplices())
+    assert K.dim == max((len(c) - 1 for c in cliques), default=-1)
+    assert K == SimplicialComplex(cliques)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unclosed_simplices())
+def test_closure_matches_brute_force_subsets(inputs):
+    closure = {
+        Simplex(c) for s in inputs for k in range(1, len(s) + 1) for c in combinations(sorted(s), k)
+    } | {Simplex(()) for s in inputs if not s}
+    K = SimplicialComplex(inputs)
+    assert K.simplices() == sorted(closure)
+    assert all(type(s) is Simplex for s in K.simplices())
+    assert _levels(K) == {
+        n: sorted(s for s in closure if s.dim == n) for n in {s.dim for s in closure}
+    }
+    assert len(K) == len(closure) and K == SimplicialComplex(closure)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unclosed_simplices(), st.sets(st.integers(0, 7)))
+def test_full_subcomplex_matches_brute_force_filter(inputs, keep):
+    K = SimplicialComplex(inputs)
+    if not keep <= set(K.vertices()):
+        with pytest.raises(ValueError):
+            full_subcomplex(K, keep)
+        return
+    sub = full_subcomplex(K, keep)
+    kept = [s for s in K.simplices() if set(s) <= keep]
+    assert sub.simplices() == kept
+    assert sub == SimplicialComplex(kept) and _levels(sub) == _levels(SimplicialComplex(kept))
+
+
 # -- barycentric subdivision ----------------------------------------------------
 
 def test_bd_interval():
