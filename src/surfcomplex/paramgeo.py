@@ -428,8 +428,10 @@ def _added_vertices(s):
     """The vertex each step of a saturated chain of faces adds."""
     added = []
     for small, big in zip(s, s[1:]):
-        (new,) = set(big) - set(small)
-        added.append(new)
+        new = set(big) - set(small)
+        if len(new) != 1:
+            raise DomainError(f"chain must be saturated: it jumps from {small} to {big}")
+        added.extend(new)
     return added
 
 

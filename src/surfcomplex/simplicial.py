@@ -21,7 +21,8 @@ import json
 from functools import partial
 from itertools import chain, combinations
 
-from .snf import rank_and_torsion, solve_integer_system
+from .lattice import json_int
+from .snf import rank_and_torsion, solve_columns
 
 
 class DegreeError(ValueError):
@@ -467,7 +468,9 @@ def solve_boundary(candidates, target):
     """Integer coefficients on ``candidates`` whose boundary is ``target``.
 
     ``candidates`` is a list of simplices one degree above the target chain.
-    Returns a Chain or None when no integer solution exists.
+    Their boundaries go to :func:`~surfcomplex.snf.solve_columns` as sparse
+    columns, one row per face; no dense matrix is built.  Returns a Chain,
+    or None when no integer solution exists.
     """
     candidates = [Simplex(s) for s in candidates]
     if not candidates:
@@ -477,17 +480,14 @@ def solve_boundary(candidates, target):
         raise DegreeError("candidate simplices of mixed dimension")
     if degree != target.degree + 1:
         raise DegreeError("candidates must sit one degree above the target")
-    rows = sorted({f for s in candidates for f in s.faces()} | target.support())
-    index = {s: i for i, s in enumerate(rows)}
-    mat = [[0] * len(candidates) for _ in rows]
-    for j, s in enumerate(candidates):
-        for i, f in enumerate(s.faces()):
-            mat[index[f]][j] += -1 if i % 2 else 1
-    rhs = [target.terms.get(s, 0) for s in rows]
-    sol = solve_integer_system(mat, rhs)
+    index = {f: i for i, f in enumerate(sorted({f for s in candidates for f in s.faces()}))}
+    if not target.support() <= index.keys():
+        return None
+    columns = [{index[f]: -1 if i % 2 else 1 for i, f in enumerate(s.faces())} for s in candidates]
+    sol = solve_columns(columns, {index[s]: c for s, c in target.terms.items()})
     if sol is None:
         return None
-    return Chain(degree, {s: c for s, c in zip(candidates, sol) if c})
+    return Chain(degree, {candidates[j]: c for j, c in sol.items()})
 
 
 # -- JSON forms ---------------------------------------------------------------
@@ -526,9 +526,9 @@ def chain_to_json(chain):
 
 def chain_from_json(doc):
     return Chain(
-        doc["deg"],
+        json_int(doc["deg"]),
         {
-            Simplex(tuple(_vertex_from_json(v) for v in t["simplex"])): int(t["coeff"])
+            Simplex(tuple(_vertex_from_json(v) for v in t["simplex"])): json_int(t["coeff"])
             for t in doc["terms"]
         },
     )

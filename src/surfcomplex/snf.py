@@ -7,11 +7,18 @@ deterministic.  Correctness is certified by the returned transforms rather
 than by the algorithm: ``u @ a @ v == diag(divisors)`` with ``u`` and ``v``
 unimodular, and callers are expected to check that product when they care.
 
-Homology needs only ranks and torsion, so :func:`rank_and_torsion` takes
-sparse columns, eliminates with +-1 pivots (unimodular column operations)
-and hands only the residual block to :func:`smith_normal_form`.  The pivot
-block is unit triangular and the residual is zero on its rows, so the Smith
-form of the whole is the identity on the pivots plus that of the residual.
+Ranks, torsion and integer solves share one sparse elimination of
+``{row: value}`` columns with +-1 pivots; only the residual block, the
+columns left without a +-1 entry, goes to a dense Smith normal form.  Each
+step subtracts an integer multiple of one column from another, a unimodular
+column operation, so pivots and residual span the input's column lattice.
+The pivot block is unit triangular on its rows and the residual is zero
+there.  So the Smith form of the whole is the identity on the pivots plus
+that of the residual (:func:`rank_and_torsion`), and for a ``b`` reduced
+against the pivots, hence zero on their rows, b is in the column lattice of
+A iff the reduced b is in that of the residual (:func:`solve_columns`): the
+pivot part of a solution is forced, and the integer combination of input
+columns each column carries turns the residual's solution into one for A.
 """
 
 from __future__ import annotations
@@ -226,12 +233,13 @@ def smith_normal_form(a):
     )
 
 
-def _reduce(column, pivots):
+def _reduce(column, pivots, combo=None):
     """``column`` minus multiples of pivot columns, zero on every pivot row.
 
-    ``pivots`` maps a row to ``(creation index, column)``; a pivot column is
-    zero on the rows of older pivots, so eliminating in creation order never
-    brings back a row already cleared.
+    ``pivots`` maps a row to ``(creation index, column, combination)``; a
+    pivot column is zero on the rows of older pivots, so eliminating in
+    creation order never brings back a row already cleared.  A given
+    ``combo`` takes the same multiples of the pivots' combinations, in place.
     """
     col = dict(column)
     heap = [(pivots[r][0], r) for r in col if r in pivots]
@@ -241,7 +249,7 @@ def _reduce(column, pivots):
         x = col.get(r)
         if not x:
             continue
-        p = pivots[r][1]
+        _, p, pc = pivots[r]
         q = x * p[r]
         for s, y in p.items():
             old = col.get(s, 0)
@@ -252,47 +260,105 @@ def _reduce(column, pivots):
                     heappush(heap, (pivots[s][0], s))
             elif old:
                 del col[s]
+        if combo is not None:
+            for s, y in pc.items():
+                combo[s] = combo.get(s, 0) - q * y
     return col
+
+
+def _eliminate(columns, track):
+    """Unit-pivot elimination: ``(pivots, rows, residual, combinations)``.
+
+    A reduced column with a +-1 entry becomes the pivot of its largest such
+    row; the others are reduced again against every pivot at the end, and
+    the nonzero ones form the dense ``residual`` on the sorted ``rows`` they
+    touch.  With ``track`` every column carries its combination, the
+    ``{input column: multiplier}`` sum it equals; without it, None.
+    """
+    pivots = {}
+    deferred = []
+    for j, column in enumerate(columns):
+        combo = {j: 1} if track else None
+        col = _reduce(column, pivots, combo)
+        units = [r for r, x in col.items() if x == 1 or x == -1]
+        if units:
+            pivots[max(units)] = (len(pivots), col, combo)
+        elif col:
+            deferred.append((col, combo))
+    residual, combos = [], []
+    for col, combo in deferred:
+        if col := _reduce(col, pivots, combo):
+            residual.append(col)
+            combos.append(combo)
+    rows = sorted({r for c in residual for r in c})
+    return pivots, rows, [[c.get(r, 0) for c in residual] for r in rows], combos
 
 
 def rank_and_torsion(columns):
     """``(rank, torsion)`` of the integer matrix with the given sparse columns.
 
-    Each column is a ``{row: value}`` dict.  A reduced column with a +-1
-    entry becomes the pivot of its largest such row; the others are set
-    aside, reduced again against every pivot at the end, and their Smith
-    normal form gives the rest of the rank and the divisors > 1.
+    Each column is a ``{row: value}`` dict.  Each unit pivot adds one to the
+    rank; the Smith normal form of the residual gives the rest of the rank
+    and the divisors > 1.
 
     >>> rank_and_torsion([{0: 2, 1: 1}, {0: 2, 1: -1}])
     (2, [4])
     """
-    pivots = {}
-    deferred = []
-    for column in columns:
-        col = _reduce(column, pivots)
-        units = [r for r, x in col.items() if x == 1 or x == -1]
-        if units:
-            pivots[max(units)] = (len(pivots), col)
-        elif col:
-            deferred.append(col)
-    residual = [c for c in (_reduce(c, pivots) for c in deferred) if c]
-    rows = sorted({r for c in residual for r in c})
-    divisors = smith_normal_form([[c.get(r, 0) for c in residual] for r in rows]).divisors
+    pivots, _, residual, _ = _eliminate(columns, track=False)
+    divisors = smith_normal_form(residual).divisors
     return len(pivots) + sum(1 for d in divisors if d), [d for d in divisors if d > 1]
+
+
+def solve_columns(columns, b):
+    """One integer solution of ``A @ x == b``, or None when none exists.
+
+    ``A`` is given by its sparse ``{row: value}`` columns and ``b`` is a
+    ``{row: value}`` dict; the solution is the ``{column index: value}`` dict
+    of its nonzero entries, in column order.  ``b`` is reduced against the
+    unit pivots while tracking the multiples taken; only the residual block
+    and what is left of ``b`` go to a dense Smith normal form solve.
+
+    >>> solve_columns([{0: 2, 1: 1}, {0: 2, 1: -1}], {0: 4})
+    {0: 1, 1: 1}
+    >>> solve_columns([{0: 2, 1: 1}, {0: 2, 1: -1}], {0: 2}) is None
+    True
+    """
+    pivots, rows, residual, combos = _eliminate(columns, track=True)
+    shift = {}
+    rest = _reduce(b, pivots, shift)  # rest == b + A @ shift
+    rhs = [rest.pop(r, 0) for r in rows]
+    if any(rest.values()) or (z := _snf_solve(residual, rhs)) is None:
+        return None
+    x = {j: -y for j, y in shift.items()}
+    for combo, zi in zip(combos, z):
+        for j, y in combo.items():
+            x[j] = x.get(j, 0) + zi * y
+    return {j: x[j] for j in sorted(x) if x[j]}
 
 
 def solve_integer_system(a, b):
     """One integer solution x of a @ x == b, or None when none exists.
 
-    Free coordinates are set to zero.  Used to discover chain-level
-    coefficients (e.g. fillings with prescribed boundary).
+    ``a`` is a list of rows; it is split into sparse columns and solved by
+    :func:`solve_columns`, so no Smith normal form of the whole of ``a`` is
+    taken.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if len(b) != nrows:
         raise ValueError("right-hand side length mismatch")
-    if ncols == 0:
-        return [] if all(x == 0 for x in b) else None
+    if any(len(row) != ncols for row in a):
+        raise ValueError("ragged matrix")
+    columns = [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(ncols)]
+    x = solve_columns(columns, dict(enumerate(b)))
+    return None if x is None else [x.get(j, 0) for j in range(ncols)]
+
+
+def _snf_solve(a, b):
+    """One integer solution of the dense system ``a @ x == b`` from the
+    Smith form of ``a``, free coordinates zero; None when none exists."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
     res = smith_normal_form(a)
     ub = [sum(res.u[i][j] * b[j] for j in range(nrows)) for i in range(nrows)]
     y = [0] * ncols

@@ -379,6 +379,11 @@ def test_decompose_greedy_order():
     assert in_region(sigma, "P", tau, s, 1, x)
 
 
+def test_in_region_rejects_non_saturated_chain():
+    with pytest.raises(DomainError, match="jumps from"):
+        in_region("ABC", "A", "A", ["A", "ABC"], 1, {"B": 0, "C": 0})
+
+
 def test_decompose_validates():
     with pytest.raises(DomainError):
         decompose_cube_point(("P", "a"), "P", 1, {"a": 2})

@@ -594,6 +594,32 @@ def test_solve_boundary_unsolvable():
     assert solve_boundary([Simplex(("a", "b", "c"))], z) is None
 
 
+def test_solve_boundary_torsion_on_subdivided_projective_plane():
+    # the 3-cycle 0-1-2 is no face of RP2 and generates H_1 = Z/2: it does
+    # not bound, twice it does, and only the residual's 2 can find that
+    K = barycentric_subdivision(SimplicialComplex(RP2_TRIANGLES))
+    loop = [((u,), tuple(sorted((u, v)))) for u, v in ((0, 1), (1, 2), (2, 0))]
+    loop += [(tuple(sorted((u, v))), (v,)) for u, v in ((0, 1), (1, 2), (2, 0))]
+    gamma = Chain.from_oriented(1, [(e, 1) for e in loop])
+    assert gamma.boundary().is_zero()
+    triangles = K.simplices(2)
+    assert solve_boundary(triangles, gamma) is None
+    twice = gamma + gamma
+    w = solve_boundary(triangles, twice)
+    assert w is not None and w.boundary() == twice
+
+
+def test_solve_boundary_target_off_every_candidate_face():
+    # a repeated candidate is a repeated column and still gives one filling
+    candidates = [Simplex(("a", "b", "c")), Simplex(("a", "b", "c"))]
+    z = Chain.from_oriented(2, [(("a", "b", "c"), 1)]).boundary()
+    assert solve_boundary(candidates, z).boundary() == z
+    off = z + Chain.from_oriented(1, [(("a", "d"), 1), (("d", "b"), 1), (("b", "a"), 1)])
+    assert solve_boundary(candidates, off) is None
+    away = Chain.from_oriented(1, [(("d", "e"), 1), (("e", "f"), 1), (("f", "d"), 1)])
+    assert solve_boundary(candidates, away) is None
+
+
 # -- JSON forms -------------------------------------------------------------------
 
 def test_complex_json_roundtrip():
@@ -613,3 +639,12 @@ def test_chain_json_roundtrip():
     doc = json.loads(json.dumps(chain_to_json(z)))
     assert chain_from_json(doc) == z
     assert doc["deg"] == 1
+
+
+@pytest.mark.parametrize("coeff", [0.5, True, "2", None])
+def test_chain_from_json_rejects_non_integer_coefficients(coeff):
+    doc = {"deg": 0, "terms": [{"simplex": ["a"], "coeff": coeff}]}
+    with pytest.raises(TypeError):
+        chain_from_json(doc)
+    with pytest.raises(TypeError):
+        chain_from_json({"deg": coeff, "terms": [{"simplex": ["a", "b"], "coeff": 1}]})

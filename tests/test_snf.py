@@ -11,6 +11,7 @@ from surfcomplex.snf import (
     mat_mul,
     rank_and_torsion,
     smith_normal_form,
+    solve_columns,
     solve_integer_system,
 )
 
@@ -185,3 +186,90 @@ def test_rank_and_torsion_small_cases():
 def test_rank_and_torsion_matches_snf(shape):
     n, a = shape
     assert rank_and_torsion(columns_of(a, n)) == snf_rank_and_torsion(a)
+
+
+# -- integer solves against the dense Smith-form oracle ----------------------------
+
+def dense_snf_solve(a, b):
+    """The one-shot solve the sparse path replaced: Smith form of all of ``a``
+    with both transforms, free coordinates zero."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    if ncols == 0:
+        return [] if all(x == 0 for x in b) else None
+    res = smith_normal_form(a)
+    ub = [sum(res.u[i][j] * b[j] for j in range(nrows)) for i in range(nrows)]
+    y = [0] * ncols
+    for i in range(nrows):
+        d = res.divisors[i] if i < len(res.divisors) else 0
+        if d == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % d != 0:
+                return None
+            if i < ncols:
+                y[i] = ub[i] // d
+    return [sum(res.v[i][j] * y[j] for j in range(ncols)) for i in range(ncols)]
+
+
+def product(a, x):
+    return [sum(v * w for v, w in zip(row, x)) for row in a]
+
+
+def test_solve_residual_meets_later_pivot_row():
+    # a = [[2, 0], [3, 1]]: the first column has no unit, the second is the
+    # pivot of row 1; only after the final re-reduction is the residual the
+    # 2 on row 0, and the answer needs the residual's combination {0: 1, 1: -3}
+    a = [[2, 0], [3, 1]]
+    assert solve_integer_system(a, [2, 4]) == [1, 1]
+    assert solve_columns([{0: 2, 1: 3}, {1: 1}], {0: 2, 1: 4}) == {0: 1, 1: 1}
+    assert solve_integer_system(a, [1, 0]) is None
+    assert solve_integer_system(a, [0, 5]) == [0, 5]
+
+
+def test_solve_columns_edge_cases():
+    assert solve_columns([], {}) == {}
+    assert solve_columns([], {0: 1}) is None
+    assert solve_columns([{}, {}], {}) == {}
+    # b has support on a row no column touches
+    assert solve_columns([{0: 1}, {0: 2, 1: 2}], {2: 1}) is None
+    # a unit pivot alone forces the answer
+    assert solve_columns([{0: -1, 1: 2}], {0: 3, 1: -6}) == {0: -3}
+
+
+def test_solve_integer_system_input_checks():
+    with pytest.raises(ValueError, match="length mismatch"):
+        solve_integer_system([[1, 2]], [1, 2])
+    with pytest.raises(ValueError, match="ragged"):
+        solve_integer_system([[1, 2], [3]], [1, 2])
+    assert solve_integer_system([], []) == []
+    assert solve_integer_system([[]], [0]) == []
+    assert solve_integer_system([[]], [1]) is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda m: st.integers(0, 8).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.one_of(st.just(0), st.integers(-4, 4)), min_size=n, max_size=n),
+                    min_size=m,
+                    max_size=m,
+                ),
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                st.lists(st.one_of(st.just(0), st.integers(-2, 2)), min_size=m, max_size=m),
+            )
+        )
+    )
+)
+def test_solve_matches_dense_oracle(system):
+    a, x0, noise = system
+    planted = product(a, x0)
+    for b in (planted, [v + e for v, e in zip(planted, noise)]):
+        x = solve_integer_system(a, b)
+        assert (x is None) == (dense_snf_solve(a, b) is None)
+        if x is not None:
+            assert product(a, x) == b
+    assert solve_integer_system(a, planted) is not None
