@@ -21,6 +21,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -259,7 +260,10 @@ def cmd_paramgeo_selftest(args):
 
 # -- parser ---------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  Handlers are stored by
+    name and looked up in ``main``, so a handler replaced later still runs."""
     parser = argparse.ArgumentParser(
         prog="surfcomplex",
         description="Surface catalogs, adjunction complexes, wall-crossing "
@@ -281,35 +285,35 @@ def build_parser():
     p.add_argument("--d", required=True, help="2k comma-separated degrees d+,d- per index")
     p.add_argument("--l", required=True, help="k comma-separated exceptional block sizes")
     common(p, needs_input=False)
-    p.set_defaults(func=cmd_examples_make)
+    p.set_defaults(func="cmd_examples_make")
 
     pc = sub.add_parser("complex", help="build complexes and compute homology")
     pcs = pc.add_subparsers(dest="subcommand", required=True)
     p = pcs.add_parser("build")
     common(p)
     p.add_argument("--max-dim", type=int, default=4)
-    p.set_defaults(func=cmd_complex_build)
+    p.set_defaults(func="cmd_complex_build")
     p = pcs.add_parser("homology")
     common(p)
     p.add_argument("--deg", type=int, required=True)
     p.add_argument("--max-dim", type=int, default=4)
-    p.set_defaults(func=cmd_complex_homology)
+    p.set_defaults(func="cmd_complex_homology")
 
     pw = sub.add_parser("wallcross", help="certify collections, emit cycles")
     pws = pw.add_subparsers(dest="subcommand", required=True)
     p = pws.add_parser("certify")
     common(p)
-    p.set_defaults(func=cmd_wallcross_certify)
+    p.set_defaults(func="cmd_wallcross_certify")
     p = pws.add_parser("cycle")
     common(p)
-    p.set_defaults(func=cmd_wallcross_cycle)
+    p.set_defaults(func="cmd_wallcross_cycle")
 
     pb = sub.add_parser("bounding", help="verify bounding collections")
     pbs = pb.add_subparsers(dest="subcommand", required=True)
     p = pbs.add_parser("verify")
     common(p)
     p.add_argument("--bounding", required=True, help="bounding JSON path")
-    p.set_defaults(func=cmd_bounding_verify)
+    p.set_defaults(func="cmd_bounding_verify")
 
     pk = sub.add_parser("constraints", help="derive genus constraints")
     pks = pk.add_subparsers(dest="subcommand", required=True)
@@ -318,7 +322,7 @@ def build_parser():
     p.add_argument("--bounding", required=True)
     p.add_argument("--seed-value", type=int, required=True)
     p.add_argument("--seed-note", default="")
-    p.set_defaults(func=cmd_constraints_derive)
+    p.set_defaults(func="cmd_constraints_derive")
 
     pi = sub.add_parser("invariant", help="evaluate the pairing identity")
     pis = pi.add_subparsers(dest="subcommand", required=True)
@@ -327,7 +331,7 @@ def build_parser():
     p.add_argument("--m-model", required=True, help="k3, s4, or a model JSON path")
     p.add_argument("--seed-value", type=int, required=True)
     p.add_argument("--seed-note", default="")
-    p.set_defaults(func=cmd_invariant_evaluate)
+    p.set_defaults(func="cmd_invariant_evaluate")
 
     pg = sub.add_parser("paramgeo", help="parameter-space geometry checks")
     pgs = pg.add_subparsers(dest="subcommand", required=True)
@@ -336,16 +340,15 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warp", choices=paramgeo.WARPS, default=paramgeo.WARP_CLAIMED)
     p.add_argument("--max-dim", type=int, default=3)
-    p.set_defaults(func=cmd_paramgeo_selftest)
+    p.set_defaults(func="cmd_paramgeo_selftest")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (InputError, *VALIDATION_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

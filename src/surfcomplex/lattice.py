@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -64,7 +65,7 @@ class HomologyClass:
         c = {}
         if coeffs:
             for label, v in dict(coeffs).items():
-                v = int(v)
+                v = operator.index(v)
                 if v:
                     c[label] = v
         self.coeffs = c
@@ -92,7 +93,7 @@ class HomologyClass:
         return (-1) * self
 
     def __rmul__(self, k):
-        return HomologyClass({lab: int(k) * v for lab, v in self.coeffs.items()})
+        return HomologyClass({lab: operator.index(k) * v for lab, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, HomologyClass) and self.coeffs == other.coeffs

@@ -410,18 +410,19 @@ def decompose_cube_point(sigma, pinned, big_r, x):
     rest = [v for v in sigma if v != pinned]
     if set(x) != set(rest):
         raise DomainError(f"cube point indexed by {sorted(x)}, want {rest}")
-    half = Fraction(big_r, 2) if isinstance(big_r, (int, Fraction)) else big_r / 2
+    big = _as_number(big_r)
+    xs = {v: _as_number(xv) for v, xv in x.items()}
     for v, xv in x.items():
-        if not 0 <= _as_number(xv) <= _as_number(big_r):
+        if not 0 <= xs[v] <= big:
             raise DomainError(f"coordinate {v}={xv} outside [0, {big_r}]")
-    tau = face([pinned] + [v for v in rest if _as_number(x[v]) >= _as_number(half)])
-    chain = [tau]
-    while len(chain[-1]) < len(sigma):
-        remaining = [v for v in sigma if v not in chain[-1]]
-        top = max(_as_number(x[v]) for v in remaining)
-        best = min(v for v in remaining if _as_number(x[v]) == top)
-        chain.append(chain[-1].joined(best))
-    return tau, tuple(chain)
+    high, low = [pinned], []
+    for v in rest:
+        (high if 2 * xs[v] >= big else low).append(v)
+    chain = [face(high)]
+    # low is in vertex order and a reverse sort is stable: ties go to the smallest id
+    for v in sorted(low, key=xs.__getitem__, reverse=True):
+        chain.append(chain[-1].joined(v))
+    return chain[0], tuple(chain)
 
 
 def _added_vertices(s):
@@ -440,12 +441,12 @@ def in_region(sigma, pinned, tau, s, big_r, x):
     sigma = face(sigma)
     tau = face(tau)
     s = face_chain(s)
-    half = _as_number(big_r) / 2
-    for v in tau:
-        if v != pinned and not half <= _as_number(x[v]) <= _as_number(big_r):
+    big = _as_number(big_r)
+    for xv in (_as_number(x[v]) for v in tau if v != pinned):
+        if not (big <= 2 * xv and xv <= big):
             return False
     values = [_as_number(x[v]) for v in _added_vertices(s)]
-    if any(v > half for v in values):
+    if any(2 * v > big for v in values):
         return False
     return all(a >= b for a, b in zip(values, values[1:]))
 
@@ -573,6 +574,10 @@ def enumerate_pieces(sigma, pinned):
     return out
 
 
+# the most grid points q_cover_check visits; selftest --max-dim 5 needs 18,750
+COVER_MAX_POINTS = 1_000_000
+
+
 def q_cover_check(sigma, big_r, step):
     """Exhaustive grid audit of the cube decomposition.
 
@@ -580,37 +585,41 @@ def q_cover_check(sigma, big_r, step):
     of the piece the decomposition picks, for every choice of pinned vertex.
     ``step`` must divide R exactly.  Returns a report with zero uncovered
     points when the decomposition is correct.
+
+    The grid is walked in whole steps, as integers 0..n with n = R/step
+    standing for R: both predicates compare coordinates only with each
+    other, with R and with R/2, and scaling by 1/step keeps every such
+    comparison.  The ``len(sigma) * (n + 1) ** (len(sigma) - 1)`` points
+    are counted first; more than COVER_MAX_POINTS raise ``DomainError``.
     """
     sigma = face(sigma)
     big_r = Fraction(big_r)
     step = Fraction(step)
     if big_r <= 0 or step <= 0 or (big_r / step).denominator != 1:
         raise DomainError(f"step {step} must divide R = {big_r}")
-    ticks = [step * i for i in range(int(big_r / step) + 1)]
-    total = 0
+    n = int(big_r / step)
+    per_pinned = (n + 1) ** (len(sigma) - 1)
+    points = len(sigma) * per_pinned
+    if points > COVER_MAX_POINTS:
+        raise DomainError(f"cube cover of {points} grid points exceeds the limit {COVER_MAX_POINTS}")
     uncovered = []
-    per_pinned = {}
     for pinned in sigma:
         rest = [v for v in sigma if v != pinned]
-        count = 0
-        for combo in iter_product(ticks, repeat=len(rest)):
+        for combo in iter_product(range(n + 1), repeat=len(rest)):
             x = dict(zip(rest, combo))
-            tau, s = decompose_cube_point(sigma, pinned, big_r, x)
-            total += 1
-            count += 1
-            if not in_region(sigma, pinned, tau, s, big_r, x):
-                uncovered.append((pinned, dict(x)))
-        per_pinned[pinned] = count
+            tau, s = decompose_cube_point(sigma, pinned, n, x)
+            if not in_region(sigma, pinned, tau, s, n, x):
+                uncovered.append((pinned, x))
     return {
         "sigma": list(sigma),
         "R": str(big_r),
         "step": str(step),
-        "points": total,
+        "points": points,
         "uncovered": len(uncovered),
         "uncovered_points": [
-            {"pinned": p, "x": {k: str(v) for k, v in pt.items()}} for p, pt in uncovered[:10]
+            {"pinned": p, "x": {k: str(step * i) for k, i in pt.items()}} for p, pt in uncovered[:10]
         ],
-        "per_pinned": {str(p): c for p, c in per_pinned.items()},
+        "per_pinned": {str(p): per_pinned for p in sigma},
     }
 
 

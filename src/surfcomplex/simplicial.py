@@ -18,6 +18,7 @@ its ids.
 from __future__ import annotations
 
 import json
+import operator
 from functools import partial
 from itertools import chain, combinations
 
@@ -106,15 +107,14 @@ class Chain:
     """Finitely supported integer combination of n-simplices."""
 
     def __init__(self, degree, terms=None):
-        self.degree = int(degree)
+        self.degree = operator.index(degree)
         self.terms = {}
         if terms:
             for s, c in dict(terms).items():
                 s = Simplex(s)
                 if s.dim != self.degree:
                     raise DegreeError(f"{s} has dimension {s.dim}, chain degree {self.degree}")
-                if c:
-                    self.terms[s] = self.terms.get(s, 0) + int(c)
+                self.terms[s] = self.terms.get(s, 0) + operator.index(c)
             self.terms = {s: c for s, c in self.terms.items() if c}
 
     @classmethod
@@ -123,7 +123,7 @@ class Chain:
         terms = {}
         for verts, c in oriented_terms:
             s, sign = oriented(verts)
-            terms[s] = terms.get(s, 0) + sign * int(c)
+            terms[s] = terms.get(s, 0) + sign * operator.index(c)
         return cls(degree, terms)
 
     def coefficient(self, simplex):
@@ -150,7 +150,7 @@ class Chain:
         return self + (-other)
 
     def __rmul__(self, k):
-        return Chain(self.degree, {s: int(k) * c for s, c in self.terms.items()})
+        return Chain(self.degree, {s: operator.index(k) * c for s, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, Chain) and self.degree == other.degree and self.terms == other.terms
@@ -184,15 +184,16 @@ class Cochain:
     """Integer-valued function on n-simplices, finitely supported."""
 
     def __init__(self, degree, values=None):
-        self.degree = int(degree)
+        self.degree = operator.index(degree)
         self.values = {}
         if values:
             for s, c in dict(values).items():
                 s = Simplex(s)
                 if s.dim != self.degree:
                     raise DegreeError(f"{s} has dimension {s.dim}, cochain degree {self.degree}")
+                c = operator.index(c)
                 if c:
-                    self.values[s] = int(c)
+                    self.values[s] = c
 
     def __call__(self, simplex):
         return self.values.get(Simplex(simplex), 0)

@@ -237,6 +237,10 @@ def test_paramgeo_selftest_max_dim_out_of_range_exit_2(capsys):
     assert "max_dim" in err
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_internal_error_exit_3(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -444,3 +445,15 @@ def test_manifold_signature_consistency_checked():
         ManifoldModel("bad", (("H1", 1),), euler=4, signature=0)
     with pytest.raises(LatticeError):
         ManifoldModel("dup", (("H1", 1), ("H1", 1)), euler=5, signature=2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HomologyClass({"F": 2.9}),
+    lambda: HomologyClass({"F": 0.5}),
+    lambda: HomologyClass({"F": Fraction(2)}),
+    lambda: HomologyClass({"F": "2"}),
+    lambda: 2.5 * HomologyClass({"F": 1}),
+])
+def test_homology_class_rejects_non_integers(make):
+    with pytest.raises(TypeError):
+        make()

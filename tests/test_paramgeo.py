@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -5,13 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from surfcomplex import paramgeo
 from surfcomplex.paramgeo import (
     CurvatureModel,
     DomainError,
     WARP_CLAIMED,
     WARP_PRINTED,
     WeightFunction,
+    _added_vertices,
+    _as_number,
     all_faces,
     boundary_corner,
     cutoff,
@@ -20,6 +26,7 @@ from surfcomplex.paramgeo import (
     decompose_cube_point,
     enumerate_pieces,
     face,
+    face_chain,
     in_region,
     inner_cylinder_length,
     lambda_min,
@@ -514,6 +521,167 @@ def test_cover_dim_four_coarse_grid():
 def test_cover_rejects_non_dividing_step():
     with pytest.raises(DomainError):
         q_cover_check(("P", "a"), 1, Fraction(3, 7))
+
+
+def test_cover_budget_refuses_before_visiting_any_point():
+    # 8 * 17^7 points: walking them would take hours
+    with pytest.raises(DomainError, match="3282709384 grid points exceeds the limit 1000000"):
+        q_cover_check(tuple("abcdefgh"), 1, Fraction(1, 16))
+
+
+def test_cover_budget_boundary(monkeypatch):
+    monkeypatch.setattr(paramgeo, "COVER_MAX_POINTS", 3 * 81)
+    assert q_cover_check(("P", "a", "b"), 1, Fraction(1, 8))["points"] == 3 * 81
+    monkeypatch.setattr(paramgeo, "COVER_MAX_POINTS", 3 * 81 - 1)
+    with pytest.raises(DomainError, match="243 grid points"):
+        q_cover_check(("P", "a", "b"), 1, Fraction(1, 8))
+
+
+# Oracles: the decomposition and the cover audit as they were before the grid
+# was walked in whole steps, with R/2 formed explicitly and the chain grown
+# by a max/min rescan.  For an int R the old in_region forms R/2 as a float,
+# which is exact for the small R drawn below.
+
+def _oracle_decompose(sigma, pinned, big_r, x):
+    sigma = face(sigma)
+    if pinned not in sigma:
+        raise DomainError(f"{pinned!r} is not a vertex of {sigma}")
+    rest = [v for v in sigma if v != pinned]
+    if set(x) != set(rest):
+        raise DomainError(f"cube point indexed by {sorted(x)}, want {rest}")
+    half = Fraction(big_r, 2) if isinstance(big_r, (int, Fraction)) else big_r / 2
+    for v, xv in x.items():
+        if not 0 <= _as_number(xv) <= _as_number(big_r):
+            raise DomainError(f"coordinate {v}={xv} outside [0, {big_r}]")
+    tau = face([pinned] + [v for v in rest if _as_number(x[v]) >= _as_number(half)])
+    chain = [tau]
+    while len(chain[-1]) < len(sigma):
+        remaining = [v for v in sigma if v not in chain[-1]]
+        top = max(_as_number(x[v]) for v in remaining)
+        best = min(v for v in remaining if _as_number(x[v]) == top)
+        chain.append(chain[-1].joined(best))
+    return tau, tuple(chain)
+
+
+def _oracle_in_region(sigma, pinned, tau, s, big_r, x):
+    sigma = face(sigma)
+    tau = face(tau)
+    s = face_chain(s)
+    half = _as_number(big_r) / 2
+    for v in tau:
+        if v != pinned and not half <= _as_number(x[v]) <= _as_number(big_r):
+            return False
+    values = [_as_number(x[v]) for v in _added_vertices(s)]
+    if any(v > half for v in values):
+        return False
+    return all(a >= b for a, b in zip(values, values[1:]))
+
+
+def _oracle_cover(sigma, big_r, step):
+    sigma = face(sigma)
+    big_r = Fraction(big_r)
+    step = Fraction(step)
+    ticks = [step * i for i in range(int(big_r / step) + 1)]
+    total = 0
+    uncovered = []
+    per_pinned = {}
+    for pinned in sigma:
+        rest = [v for v in sigma if v != pinned]
+        count = 0
+        for combo in itertools.product(ticks, repeat=len(rest)):
+            x = dict(zip(rest, combo))
+            tau, s = _oracle_decompose(sigma, pinned, big_r, x)
+            total += 1
+            count += 1
+            if not _oracle_in_region(sigma, pinned, tau, s, big_r, x):
+                uncovered.append((pinned, dict(x)))
+        per_pinned[pinned] = count
+    return {
+        "sigma": list(sigma),
+        "R": str(big_r),
+        "step": str(step),
+        "points": total,
+        "uncovered": len(uncovered),
+        "uncovered_points": [
+            {"pinned": p, "x": {k: str(v) for k, v in pt.items()}} for p, pt in uncovered[:10]
+        ],
+        "per_pinned": {str(p): c for p, c in per_pinned.items()},
+    }
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as e:
+        return ("DomainError", str(e))
+
+
+@st.composite
+def cube_points(draw):
+    """A simplex of 1-5 vertices, a pinned vertex, R as an int, a Fraction
+    or a float, and a point whose coordinates come from a pool of at most
+    three values (so ties are common) that favours 0, R/2 and R; now and
+    then a coordinate leaves [0, R]."""
+    sigma = tuple("PQRST"[: draw(st.integers(1, 5))])
+    pinned = draw(st.sampled_from(sigma))
+    kind = draw(st.sampled_from(("int", "fraction", "float")))
+    num = draw(st.integers(1, 12))
+    den = 1 if kind == "int" else draw(st.sampled_from((1, 2, 3, 4)))
+    big = Fraction(num, den)
+    unit = st.one_of(
+        st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1))),
+        st.builds(Fraction, st.integers(0, 8), st.integers(1, 8)).filter(lambda u: u <= 1),
+        st.sampled_from((Fraction(-1, 4), Fraction(5, 4))),
+    )
+    pool = draw(st.lists(unit, min_size=1, max_size=3))
+    coords = [big * draw(st.sampled_from(pool)) for _ in range(len(sigma) - 1)]
+    if kind == "int":
+        big_r = num
+    elif kind == "fraction":
+        big_r = big
+    else:
+        big_r = float(big)
+        coords = [draw(st.sampled_from((c, float(c)))) for c in coords]
+    x = dict(zip([v for v in sigma if v != pinned], coords))
+    return sigma, pinned, big_r, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(cube_points())
+def test_decompose_and_in_region_match_oracle(case):
+    sigma, pinned, big_r, x = case
+    got = _outcome(decompose_cube_point, sigma, pinned, big_r, x)
+    assert got == _outcome(_oracle_decompose, sigma, pinned, big_r, x)
+    if all(0 <= _as_number(v) <= _as_number(big_r) for v in x.values()):
+        for tau, s in enumerate_pieces(sigma, pinned):
+            want = _oracle_in_region(sigma, pinned, tau, s, big_r, x)
+            assert in_region(sigma, pinned, tau, s, big_r, x) == want, (tau, s)
+
+
+@pytest.mark.parametrize("sigma,big_r,step", [
+    (("P", "a", "b", "c"), 1, Fraction(1, 4)),
+    (("P", "a", "b", "c", "d"), 1, Fraction(1, 4)),
+    (("P", "a", "b"), 1, Fraction(1, 8)),
+    (("P", "a", "b", "c"), 1, Fraction(1, 8)),
+    (("P", "a", "b", "c"), Fraction(3, 2), Fraction(1, 4)),
+])
+def test_cover_report_matches_oracle(sigma, big_r, step):
+    assert q_cover_check(sigma, big_r, step) == _oracle_cover(sigma, big_r, step)
+
+
+def test_cover_reports_uncovered_points_in_r_units(monkeypatch):
+    # reject every point whose coordinate a sits at R/4, whatever the units
+    def fake(sigma, pinned, tau, s, big_r, x):
+        return not ("a" in x and 4 * x["a"] == big_r)
+
+    monkeypatch.setattr(paramgeo, "in_region", fake)
+    report = q_cover_check(("P", "a", "b"), 1, Fraction(1, 4))
+    ticks = ["0", "1/4", "1/2", "3/4", "1"]
+    assert report["uncovered"] == 10
+    assert report["uncovered_points"] == (
+        [{"pinned": "P", "x": {"a": "1/4", "b": t}} for t in ticks]
+        + [{"pinned": "b", "x": {"P": t, "a": "1/4"}} for t in ticks]
+    )
 
 
 def test_extreme_corners_have_extreme_faces():

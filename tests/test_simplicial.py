@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -648,3 +649,22 @@ def test_chain_from_json_rejects_non_integer_coefficients(coeff):
         chain_from_json(doc)
     with pytest.raises(TypeError):
         chain_from_json({"deg": coeff, "terms": [{"simplex": ["a", "b"], "coeff": 1}]})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Chain(0, {("a",): 0.5}),
+    lambda: Chain(0, {("a",): Fraction(2)}),
+    lambda: Chain(0, {("a",): "1"}),
+    lambda: Chain(1.7),
+    lambda: Chain.from_oriented(0, [(("a",), 0.5)]),
+    lambda: 2.5 * Chain(0, {("a",): 1}),
+    lambda: Cochain(0, {("a",): 0.5}),
+    lambda: Cochain(0.5),
+])
+def test_chains_reject_non_integers(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_chain_accepts_integer_likes():
+    assert Chain(True, {("a", "b"): True}) == Chain(1, {("a", "b"): 1})
