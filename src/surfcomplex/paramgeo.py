@@ -23,6 +23,17 @@ their vertex ids, so the faces that index a family are the simplices of the
 ambient complex.  Chains of faces are tuples sorted by length, and chains of
 chains likewise.  Rational inputs stay rational throughout; only the cut-off
 itself is floating point.
+
+The cube side compares integers.  Its predicates compare coordinates with
+each other, with 0, with R and with R/2 (as 2x against R), and every value
+it returns is such a difference divided by R, by the common denominator or
+by 2.  Scaling every input by one positive factor keeps each comparison, so
+a call puts its coordinates, R, and the weights and stretches it is given
+over their least common denominator D, compares the integer numerators and
+builds each output once as a ``Fraction``.  A float among the inputs keeps
+D = 1 and every value as it is.  The psi maps are therefore exact on all
+rational input, an int R included, and ``q_cover_check`` walks its grid in
+whole steps by the same argument.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 
 from . import simplicial
 from .simplicial import Simplex, chain_simax, chain_simin
@@ -98,10 +109,13 @@ def face(ids):
 
 
 def _strict_chain(items, what):
-    seq = tuple(sorted(items, key=lambda x: (len(x), x)))
-    for x, y in zip(seq, seq[1:]):
-        if not (set(x) < set(y)):
-            raise DomainError(f"not a strict chain of {what}: {x} then {y}")
+    seq = tuple(sorted(items, key=len))
+    sets = [set(x) for x in seq]
+    if not all(x < y for x, y in zip(sets, sets[1:])):
+        # name the first bad pair in (size, value) order
+        seq = sorted(seq, key=lambda x: (len(x), x))
+        x, y = next((x, y) for x, y in zip(seq, seq[1:]) if not set(x) < set(y))
+        raise DomainError(f"not a strict chain of {what}: {x} then {y}")
     if not seq:
         raise DomainError("chains are nonempty")
     return seq
@@ -227,9 +241,10 @@ def lambda_min(sigma, a):
 # -- warped cylinders ---------------------------------------------------------
 
 def _as_number(x):
-    if isinstance(x, bool):
+    """``x`` itself if it is an int (not a bool), a float or a ``Fraction``."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
         raise DomainError(f"expected a number, got {x!r}")
-    return x if isinstance(x, (int, Fraction)) else float(x)
+    return x
 
 
 def inner_cylinder_length(lam, r, warp=WARP_CLAIMED):
@@ -383,6 +398,26 @@ def metric_descriptor(sigma, s, chains, weights, r, a, warp=WARP_CLAIMED):
 
 # -- the cube-side decomposition and the piecewise homeomorphism --------------
 
+# the psi tolerances as exact rationals, for comparisons on integer numerators
+_TRIP_TOL = Fraction(1e-12)
+_SUM_TOL = Fraction(1e-9)
+
+
+def _common_denominator(values):
+    """The numerators of ``values`` over their least common denominator D,
+    and D; a float among the values keeps D = 1 and every value as it is."""
+    values = [_as_number(v) for v in values]
+    if any(isinstance(v, float) for v in values):
+        return values, 1
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _quotient(num, den):
+    """num / den, as a ``Fraction`` when both are ints."""
+    return Fraction(num, den) if type(num) is int and type(den) is int else num / den
+
+
 def boundary_corner(sigma, pinned, tau, big_r):
     """Corner of the cube assigned to a face: coordinates in tau go to R,
     the rest to 0; the pinned coordinate is omitted."""
@@ -393,6 +428,24 @@ def boundary_corner(sigma, pinned, tau, big_r):
     if not tau.is_face_of(sigma):
         raise DomainError(f"{tau} is not a face of {sigma}")
     return {v: (big_r if v in tau else 0 * big_r) for v in sigma if v != pinned}
+
+
+def _cube_chain(pinned, x, xs, big, big_r):
+    """The piece holding a cube point: tau, the saturated chain from tau to
+    sigma, and the vertices that chain adds in order.  ``xs`` holds the
+    numerators of the coordinates ``x``, ``big`` that of ``big_r``."""
+    high, low = [pinned], []
+    for v, xv in x.items():
+        if v != pinned:
+            if not 0 <= xs[v] <= big:
+                raise DomainError(f"coordinate {v}={xv} outside [0, {big_r}]")
+            (high if 2 * xs[v] >= big else low).append(v)
+    low.sort()
+    low.sort(key=xs.__getitem__, reverse=True)  # stable: ties go to the smallest id
+    chain = [face(high)]
+    for v in low:
+        chain.append(chain[-1].joined(v))
+    return chain[0], tuple(chain), low
 
 
 def decompose_cube_point(sigma, pinned, big_r, x):
@@ -410,19 +463,10 @@ def decompose_cube_point(sigma, pinned, big_r, x):
     rest = [v for v in sigma if v != pinned]
     if set(x) != set(rest):
         raise DomainError(f"cube point indexed by {sorted(x)}, want {rest}")
-    big = _as_number(big_r)
-    xs = {v: _as_number(xv) for v, xv in x.items()}
-    for v, xv in x.items():
-        if not 0 <= xs[v] <= big:
-            raise DomainError(f"coordinate {v}={xv} outside [0, {big_r}]")
-    high, low = [pinned], []
-    for v in rest:
-        (high if 2 * xs[v] >= big else low).append(v)
-    chain = [face(high)]
-    # low is in vertex order and a reverse sort is stable: ties go to the smallest id
-    for v in sorted(low, key=xs.__getitem__, reverse=True):
-        chain.append(chain[-1].joined(v))
-    return chain[0], tuple(chain)
+    nums, _ = _common_denominator([*x.values(), big_r])
+    big = nums.pop()
+    tau, s, _ = _cube_chain(pinned, x, dict(zip(x, nums)), big, big_r)
+    return tau, s
 
 
 def _added_vertices(s):
@@ -451,7 +495,8 @@ def in_region(sigma, pinned, tau, s, big_r, x):
     return all(a >= b for a, b in zip(values, values[1:]))
 
 
-def _check_piece(sigma, pinned, s, big_r):
+def _check_piece(sigma, pinned, s):
+    """Validate a piece: sigma, its chain s, tau and the vertices s adds."""
     sigma = face(sigma)
     s = face_chain(s)
     tau = chain_simin(s)
@@ -463,10 +508,8 @@ def _check_piece(sigma, pinned, s, big_r):
         raise DomainError(
             f"piece chain must be saturated: {len(s)} faces from {tau} to {sigma}"
         )
-    for small, big in zip(s, s[1:]):
-        if len(big) != len(small) + 1:
-            raise DomainError(f"chain jumps from {small} to {big}")
-    return sigma, s, tau
+    # a strict chain of that many faces from tau to sigma adds one vertex a step
+    return sigma, s, tau, _added_vertices(s)
 
 
 def psi_forward(sigma, pinned, big_r, s, t, r):
@@ -479,53 +522,63 @@ def psi_forward(sigma, pinned, big_r, s, t, r):
     inside tau are the stretch values mapped affinely onto [R/2, R]; the
     pinned coordinate sits at R.  Exact on rational inputs.
     """
-    sigma, s, tau = _check_piece(sigma, pinned, s, big_r)
+    sigma, s, tau, added = _check_piece(sigma, pinned, s)
     if len(t) != len(s):
         raise DomainError(f"{len(s)} chain entries but {len(t)} weights")
-    if any(_as_number(w) < 0 for w in t):
+    nums, d = _common_denominator([*t, *r.values(), big_r])
+    big = nums.pop()
+    ts, rs = nums[: len(t)], dict(zip(r, nums[len(t):]))
+    if any(w < 0 for w in ts):
         raise DomainError("barycentric weights are non-negative")
-    total = sum(t)
-    if abs(_as_number(total) - 1) > 1e-9:
-        raise DomainError(f"barycentric weights sum to {total}, want 1")
+    # |sum(t) - 1| > 1e-9, multiplied through by D
+    if abs(sum(ts) - d) * _SUM_TOL.denominator > _SUM_TOL.numerator * d:
+        raise DomainError(f"barycentric weights sum to {sum(t)}, want 1")
     if set(r) != set(tau):
         raise DomainError(f"stretch vector indexed by {sorted(r)}, want {tau}")
-    if r[pinned] != big_r:
+    if rs[pinned] != big:
         raise DomainError(f"pinned stretch r[{pinned!r}] = {r[pinned]}, want {big_r}")
-    for v, rv in r.items():
-        if not 0 <= _as_number(rv) <= _as_number(big_r):
-            raise DomainError(f"stretch {v}={rv} outside [0, {big_r}]")
-    two = 2 if isinstance(big_r, (int, Fraction)) else 2.0
+    for v, rv in rs.items():
+        if not 0 <= rv <= big:
+            raise DomainError(f"stretch {v}={r[v]} outside [0, {big_r}]")
+    # a vertex outside tau weighs the tail of t from the step that adds it
+    weight, weights = 0, {}
+    for v, w in zip(reversed(added), reversed(ts)):
+        weight += w
+        weights[v] = weight
     x = {}
     for v in sigma:
         if v == pinned:
             x[v] = big_r
-        elif v in tau:
-            x[v] = (r[v] + big_r) / two
+        elif v in rs:
+            x[v] = _quotient(rs[v] + big, 2 * d)
         else:
-            weight = sum(w for w, f in zip(t, s) if v in f)
-            x[v] = big_r * weight / two
+            x[v] = _quotient(big * weights[v], 2 * d * d)
     return x
+
+
+def _piece_inverse(pinned, tau, added, xs, big, d, big_r):
+    """The numerators of t over ``big``, t and r for a cube point on the
+    piece from tau adding ``added``: with heights h = (B, 2X_1, ..., 2X_k, 0)
+    along it, t_j = (h_j - h_{j+1}) / B, and r_v = (2X_v - B) / D on tau."""
+    heights = [big] + [2 * xs[v] for v in added] + [0]
+    nums = [a - b for a, b in zip(heights, heights[1:])]
+    t = [_quotient(n, big) for n in nums] if added else [1]
+    r = {v: _quotient(2 * xs[v] - big, d) for v in tau if v != pinned}
+    r[pinned] = big_r
+    return nums, t, r
 
 
 def psi_inverse_piece(sigma, pinned, big_r, s, x):
     """Invert the forward map on one piece; x omits the pinned coordinate."""
-    sigma, s, tau = _check_piece(sigma, pinned, s, big_r)
-    added = _added_vertices(s)
-    k = len(added)
-    two = 2 if isinstance(big_r, (int, Fraction)) else 2.0
-    tails = [two * x[v] / big_r for v in added]  # t_{i+1} + ... + t_k
-    t = [0] * (k + 1)
-    if k:
-        t[k] = tails[k - 1]
-        for j in range(1, k):
-            t[j] = tails[j - 1] - tails[j]
-        t[0] = 1 - tails[0]
-    else:
-        t[0] = 1
-    if any(_as_number(w) < -1e-12 for w in t):
+    sigma, s, tau, added = _check_piece(sigma, pinned, s)
+    used = added + [v for v in tau if v != pinned]
+    nums, d = _common_denominator([*(x[v] for v in used), big_r])
+    big = nums.pop()
+    nums, t, r = _piece_inverse(pinned, tau, added, dict(zip(used, nums)), big, d, big_r)
+    # t_j = n_j / B < -1e-12, multiplied through by B * B
+    bound = -_TRIP_TOL.numerator * big * big
+    if any(n * big * _TRIP_TOL.denominator < bound for n in nums):
         raise DomainError(f"point not in the region of this piece: weights {t}")
-    r = {v: two * x[v] - big_r for v in tau if v != pinned}
-    r[pinned] = big_r
     return t, r
 
 
@@ -535,42 +588,59 @@ def psi_inverse(sigma, big_r, x):
     The pinned vertex is the smallest id whose coordinate equals R; the
     piece is recovered by the cube decomposition.  Returns
     (pinned, tau, s, t, r).  Points on piece overlaps go to the canonical
-    piece; all pieces agree there.
+    piece; all pieces agree there.  The piece is built, not searched, so
+    its weights need no region check.  Exact on rational input:
+
+    >>> x = {"A": 1, "B": Fraction(1, 3), "C": 0}
+    >>> pinned, tau, s, t, r = psi_inverse(("A", "B", "C"), 1, x)
+    >>> t
+    [Fraction(1, 3), Fraction(2, 3), Fraction(0, 1)]
+    >>> psi_forward(("A", "B", "C"), pinned, 1, s, t, r) == x
+    True
     """
     sigma = face(sigma)
     if set(x) != set(sigma):
         raise DomainError(f"point indexed by {sorted(x)}, want {sigma}")
-    pinned = None
-    for v in sigma:
-        if x[v] == big_r or abs(_as_number(x[v]) - _as_number(big_r)) < 1e-12:
-            pinned = v
-            break
+    nums, d = _common_denominator([*x.values(), big_r])
+    big = nums.pop()
+    xs = dict(zip(x, nums))
+    # |x_v - R| < 1e-12, multiplied through by D
+    tol = _TRIP_TOL.numerator * d
+    pinned = next((v for v in sigma if abs(xs[v] - big) * _TRIP_TOL.denominator < tol), None)
     if pinned is None:
         raise DomainError("no coordinate equals R: point is not on the exterior boundary")
-    rest = {v: xv for v, xv in x.items() if v != pinned}
-    tau, s = decompose_cube_point(sigma, pinned, big_r, rest)
-    t, r = psi_inverse_piece(sigma, pinned, big_r, s, rest)
+    tau, s, added = _cube_chain(pinned, x, xs, big, big_r)
+    _, t, r = _piece_inverse(pinned, tau, added, xs, big, d, big_r)
     return pinned, tau, s, t, r
+
+
+# the most pieces enumerate_pieces builds; 8 vertices give 13,700
+PIECES_MAX = 20_000
 
 
 def enumerate_pieces(sigma, pinned):
     """All (tau, s) pieces for one pinned vertex: saturated chains from a
-    face containing the pinned vertex up to sigma."""
+    face containing the pinned vertex up to sigma.
+
+    The sum over those faces tau of (len(sigma) - len(tau))! pieces is
+    counted first; more than PIECES_MAX raise ``DomainError``.
+    """
     sigma = face(sigma)
+    if pinned not in sigma:
+        raise DomainError(f"{pinned!r} is not a vertex of {sigma}")
+    n = len(sigma) - 1
+    count = sum(math.comb(n, j) * math.factorial(n - j) for j in range(n + 1))
+    if count > PIECES_MAX:
+        raise DomainError(f"{count} pieces exceed the limit {PIECES_MAX}")
     out = []
     for tau in all_faces(sigma):
         if pinned not in tau:
             continue
-        added_pool = [v for v in sigma if v not in tau]
-
-        def build(chain, remaining):
-            if not remaining:
-                out.append((tau, tuple(chain)))
-                return
-            for v in list(remaining):
-                build(chain + [chain[-1].joined(v)], [w for w in remaining if w != v])
-
-        build([tau], added_pool)
+        for order in permutations([v for v in sigma if v not in tau]):
+            chain = [tau]
+            for v in order:
+                chain.append(chain[-1].joined(v))
+            out.append((tau, tuple(chain)))
     return out
 
 
@@ -587,10 +657,10 @@ def q_cover_check(sigma, big_r, step):
     points when the decomposition is correct.
 
     The grid is walked in whole steps, as integers 0..n with n = R/step
-    standing for R: both predicates compare coordinates only with each
-    other, with R and with R/2, and scaling by 1/step keeps every such
-    comparison.  The ``len(sigma) * (n + 1) ** (len(sigma) - 1)`` points
-    are counted first; more than COVER_MAX_POINTS raise ``DomainError``.
+    standing for R, by the scaling argument of the module docstring; sigma
+    is validated once and every point is audited by ``in_region``.  The
+    ``len(sigma) * (n + 1) ** (len(sigma) - 1)`` points are counted first;
+    more than COVER_MAX_POINTS raise ``DomainError``.
     """
     sigma = face(sigma)
     big_r = Fraction(big_r)
@@ -607,7 +677,7 @@ def q_cover_check(sigma, big_r, step):
         rest = [v for v in sigma if v != pinned]
         for combo in iter_product(range(n + 1), repeat=len(rest)):
             x = dict(zip(rest, combo))
-            tau, s = decompose_cube_point(sigma, pinned, n, x)
+            tau, s, _ = _cube_chain(pinned, x, x, n, n)
             if not in_region(sigma, pinned, tau, s, n, x):
                 uncovered.append((pinned, x))
     return {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -228,6 +229,25 @@ def test_paramgeo_selftest_max_dim_is_honoured(capsys):
     checks = {c["name"]: c for c in parse_report("paramgeo", "selftest", out)["checks"]}
     assert checks["cube-cover"]["points"] == 5 * 5 ** 4
     assert checks["scale-minimum"]["expected"] == "1/16"
+
+
+# sha256 of `paramgeo selftest --format json` per argument set, recorded
+# before the cube side ran on integer numerators: exactness work must not
+# move a byte of these reports
+SELFTEST_DIGESTS = {
+    (): "ddc3e6e17935795d7413da38f61a521f98a35d96acc23914cc1626ca8ae2b4a5",
+    ("--max-dim", "4"): "bd35ad262023e1f19724ba41b5abf4bb55e381606843f3c60b74ef1d3f5de9fd",
+    ("--max-dim", "5"): "8d52723f20d9af91fd43828a8c9d35cf8b99cea317c96d252faa90e6e76d32dd",
+    ("--warp", "printed"): "e78b025b110e06c7f351f548dfba54f97963ff4a31bcca493e0efdea19aba225",
+    ("--seed", "3", "--max-dim", "4"): "f0975f64f8cc4e9b6874cca68d5f3d81e6b903964c27a22abd335e05043ae504",
+}
+
+
+@pytest.mark.parametrize("argv", list(SELFTEST_DIGESTS))
+def test_paramgeo_selftest_report_bytes(capsys, argv):
+    code, out, _ = run(capsys, "paramgeo", "selftest", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_DIGESTS[argv]
 
 
 def test_paramgeo_selftest_max_dim_out_of_range_exit_2(capsys):

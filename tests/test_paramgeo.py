@@ -32,6 +32,7 @@ from surfcomplex.paramgeo import (
     lambda_min,
     lambda_of,
     metric_descriptor,
+    nested_chain,
     psi_forward,
     psi_inverse,
     psi_inverse_piece,
@@ -96,6 +97,38 @@ def test_face_is_a_simplex():
     for bad in (("a", "b", "a"), (), Simplex(())):
         with pytest.raises(DomainError):
             face(bad)
+
+
+def _old_strict_chain(items, what):
+    # the chain normalisation as it was: sort everything by (size, value) first
+    seq = tuple(sorted(items, key=lambda x: (len(x), x)))
+    for x, y in zip(seq, seq[1:]):
+        if not (set(x) < set(y)):
+            raise DomainError(f"not a strict chain of {what}: {x} then {y}")
+    if not seq:
+        raise DomainError("chains are nonempty")
+    return seq
+
+
+@st.composite
+def face_lists(draw):
+    """Prefixes of one vertex order (a chain, with repeats now and then),
+    sometimes with one more arbitrary face, in any order."""
+    order = draw(st.permutations("ABCDE"))
+    faces = [order[:k] for k in draw(st.lists(st.integers(1, 5), max_size=5))]
+    faces += draw(st.lists(st.sets(st.sampled_from("ABCDE"), min_size=1).map(sorted), max_size=1))
+    return draw(st.permutations(faces))
+
+
+@settings(max_examples=300, deadline=None)
+@given(face_lists())
+def test_face_chain_matches_the_sorting_oracle(faces):
+    want = _outcome(lambda fs: _old_strict_chain((face(f) for f in fs), "faces"), faces)
+    assert _outcome(face_chain, faces) == want
+    if want[0] != "DomainError":
+        # the same chain one level up: a chain of its own prefixes
+        prefixes = [want[:k] for k in range(len(want), 0, -1)]
+        assert nested_chain(prefixes) == _old_strict_chain(map(face_chain, prefixes), "chains")
 
 
 def test_weight_vertices_must_be_one():
@@ -503,6 +536,276 @@ def test_psi_pieces_agree_dim_three_grid():
 def test_psi_inverse_requires_boundary_point():
     with pytest.raises(DomainError):
         psi_inverse(("A", "B"), 1, {"A": 0.5, "B": 0.25})
+
+
+def test_psi_round_trip_is_exact_for_int_and_fraction_radius():
+    # an int R used to send the inverse through float division
+    sigma = ("A", "B", "C")
+    x = {"A": 1, "B": Fraction(1, 3), "C": 0}
+    pinned, tau, s, t, r = psi_inverse(sigma, 1, x)
+    assert t == [Fraction(1, 3), Fraction(2, 3), 0]
+    assert psi_forward(sigma, pinned, 1, s, t, r) == x
+    rng = random.Random(17)
+    for big_r in (3, Fraction(3), Fraction(7, 2)):
+        for _ in range(200):
+            x = {v: rng.choice((rng.randint(0, 3), Fraction(rng.randint(0, 21), 6) * big_r / 3))
+                 for v in sigma}
+            x = {v: min(xv, big_r) for v, xv in x.items()}
+            x[rng.choice(sigma)] = big_r
+            pinned, tau, s, t, r = psi_inverse(sigma, big_r, x)
+            back = psi_forward(sigma, pinned, big_r, s, t, r)
+            assert back == x
+            values = [*t, *r.values(), *back.values()]
+            assert not any(isinstance(v, float) for v in values), values
+
+
+def test_numbers_are_int_float_or_fraction():
+    for call in (
+        lambda: cylinder_length("0.5", "1"),
+        lambda: cylinder_length("1/2", "1"),
+        lambda: decompose_cube_point(("P", "a"), "P", "1", {"a": "0.25"}),
+    ):
+        with pytest.raises(DomainError, match="expected a number, got '"):
+            call()
+
+
+def test_enumerate_pieces_budget_boundary(monkeypatch):
+    # the a-priori count is exact: each size is allowed at its count, refused one below
+    for size in range(1, 6):
+        sigma = tuple("ABCDE"[:size])
+        count = len(enumerate_pieces(sigma, "A"))
+        monkeypatch.setattr(paramgeo, "PIECES_MAX", count)
+        assert len(enumerate_pieces(sigma, "A")) == count
+        monkeypatch.setattr(paramgeo, "PIECES_MAX", count - 1)
+        with pytest.raises(DomainError, match=f"^{count} pieces exceed the limit {count - 1}$"):
+            enumerate_pieces(sigma, "A")
+        monkeypatch.undo()
+
+
+def test_enumerate_pieces_refuses_before_any_work(monkeypatch):
+    monkeypatch.setattr(paramgeo, "all_faces", lambda sigma: pytest.fail("faces were enumerated"))
+    # 12 vertices: 11! * (1 + 1/1! + ... + 1/11!) saturated chains
+    with pytest.raises(DomainError, match="108505112 pieces exceed the limit"):
+        enumerate_pieces(tuple("abcdefghijkl"), "a")
+    with pytest.raises(DomainError, match="'Z' is not a vertex"):
+        enumerate_pieces(("A", "B"), "Z")
+
+
+# Oracles: the psi maps and the decomposition as they were before the cube
+# side ran on integer numerators, with their Fraction (or float) arithmetic
+# and their validation of every piece.
+
+def _old_as_number(x):
+    if isinstance(x, bool):
+        raise DomainError(f"expected a number, got {x!r}")
+    return x if isinstance(x, (int, Fraction)) else float(x)
+
+
+def _old_decompose(sigma, pinned, big_r, x):
+    sigma = face(sigma)
+    if pinned not in sigma:
+        raise DomainError(f"{pinned!r} is not a vertex of {sigma}")
+    rest = [v for v in sigma if v != pinned]
+    if set(x) != set(rest):
+        raise DomainError(f"cube point indexed by {sorted(x)}, want {rest}")
+    big = _old_as_number(big_r)
+    xs = {v: _old_as_number(xv) for v, xv in x.items()}
+    for v, xv in x.items():
+        if not 0 <= xs[v] <= big:
+            raise DomainError(f"coordinate {v}={xv} outside [0, {big_r}]")
+    high, low = [pinned], []
+    for v in rest:
+        (high if 2 * xs[v] >= big else low).append(v)
+    chain = [face(high)]
+    for v in sorted(low, key=xs.__getitem__, reverse=True):
+        chain.append(chain[-1].joined(v))
+    return chain[0], tuple(chain)
+
+
+def _old_check_piece(sigma, pinned, s, big_r):
+    sigma = face(sigma)
+    s = face_chain(s)
+    tau = s[0]
+    if pinned not in tau:
+        raise DomainError(f"pinned vertex {pinned!r} not in the smallest face {tau}")
+    if s[-1] != sigma:
+        raise DomainError(f"chain must end at {sigma}, ends at {s[-1]}")
+    if len(s) + len(tau) != len(sigma) + 1:
+        raise DomainError(
+            f"piece chain must be saturated: {len(s)} faces from {tau} to {sigma}"
+        )
+    for small, big in zip(s, s[1:]):
+        if len(big) != len(small) + 1:
+            raise DomainError(f"chain jumps from {small} to {big}")
+    return sigma, s, tau
+
+
+def _old_psi_forward(sigma, pinned, big_r, s, t, r):
+    sigma, s, tau = _old_check_piece(sigma, pinned, s, big_r)
+    if len(t) != len(s):
+        raise DomainError(f"{len(s)} chain entries but {len(t)} weights")
+    if any(_old_as_number(w) < 0 for w in t):
+        raise DomainError("barycentric weights are non-negative")
+    total = sum(t)
+    if abs(_old_as_number(total) - 1) > 1e-9:
+        raise DomainError(f"barycentric weights sum to {total}, want 1")
+    if set(r) != set(tau):
+        raise DomainError(f"stretch vector indexed by {sorted(r)}, want {tau}")
+    if r[pinned] != big_r:
+        raise DomainError(f"pinned stretch r[{pinned!r}] = {r[pinned]}, want {big_r}")
+    for v, rv in r.items():
+        if not 0 <= _old_as_number(rv) <= _old_as_number(big_r):
+            raise DomainError(f"stretch {v}={rv} outside [0, {big_r}]")
+    two = 2 if isinstance(big_r, (int, Fraction)) else 2.0
+    x = {}
+    for v in sigma:
+        if v == pinned:
+            x[v] = big_r
+        elif v in tau:
+            x[v] = (r[v] + big_r) / two
+        else:
+            weight = sum(w for w, f in zip(t, s) if v in f)
+            x[v] = big_r * weight / two
+    return x
+
+
+def _old_psi_inverse_piece(sigma, pinned, big_r, s, x):
+    sigma, s, tau = _old_check_piece(sigma, pinned, s, big_r)
+    added = _added_vertices(s)
+    k = len(added)
+    two = 2 if isinstance(big_r, (int, Fraction)) else 2.0
+    tails = [two * x[v] / big_r for v in added]
+    t = [0] * (k + 1)
+    if k:
+        t[k] = tails[k - 1]
+        for j in range(1, k):
+            t[j] = tails[j - 1] - tails[j]
+        t[0] = 1 - tails[0]
+    else:
+        t[0] = 1
+    if any(_old_as_number(w) < -1e-12 for w in t):
+        raise DomainError(f"point not in the region of this piece: weights {t}")
+    r = {v: two * x[v] - big_r for v in tau if v != pinned}
+    r[pinned] = big_r
+    return t, r
+
+
+def _old_psi_inverse(sigma, big_r, x):
+    sigma = face(sigma)
+    if set(x) != set(sigma):
+        raise DomainError(f"point indexed by {sorted(x)}, want {sigma}")
+    pinned = None
+    for v in sigma:
+        if x[v] == big_r or abs(_old_as_number(x[v]) - _old_as_number(big_r)) < 1e-12:
+            pinned = v
+            break
+    if pinned is None:
+        raise DomainError("no coordinate equals R: point is not on the exterior boundary")
+    rest = {v: xv for v, xv in x.items() if v != pinned}
+    tau, s = _old_decompose(sigma, pinned, big_r, rest)
+    t, r = _old_psi_inverse_piece(sigma, pinned, big_r, s, rest)
+    return pinned, tau, s, t, r
+
+
+def _leaves(obj):
+    """The scalars of a nested result, with its shape and keys."""
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            yield k
+            yield from _leaves(obj[k])
+    elif isinstance(obj, (tuple, list)):
+        yield len(obj)
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+def _agree(new, old, kind):
+    """Fraction R: equal, messages included.  Float R: within 1e-12.  Int R:
+    equal wherever the old result was exact, within 1e-12 elsewhere."""
+    if isinstance(old, tuple) and old and old[0] == "DomainError":
+        assert isinstance(new, tuple) and new and new[0] == "DomainError", (new, old)
+        assert kind != "fraction" or new == old
+        return
+    a, b = list(_leaves(new)), list(_leaves(old))
+    assert len(a) == len(b), (new, old)
+    if kind == "fraction" or (kind == "int" and not any(isinstance(v, float) for v in b)):
+        assert a == b, (new, old)
+    for u, v in zip(a, b):
+        if isinstance(u, (int, float, Fraction)) and not isinstance(u, bool):
+            assert abs(float(u) - float(v)) <= 1e-12, (new, old)
+        else:
+            assert u == v, (new, old)
+
+
+@st.composite
+def psi_cases(draw):
+    """A simplex of 1-6 vertices, R as an int, a Fraction or a float, a point
+    with coordinates drawn from 0, R/2, R and k/den * R (now and then outside
+    [0, R], or just inside or outside the 1e-12 pinning tolerance), keyed in
+    any order and with one of them pinned at R, plus a piece through a pinned
+    vertex with weights and stretches that are mostly, not always, valid."""
+    sigma = tuple("ABCDEF"[: draw(st.integers(1, 6))])
+    kind = draw(st.sampled_from(("int", "fraction", "float")))
+    num = draw(st.integers(1, 12))
+    den = 1 if kind == "int" else draw(st.sampled_from((1, 2, 3, 4)))
+    big = Fraction(num, den)
+    big_r = {"int": num, "fraction": big, "float": float(big)}[kind]
+    unit = st.one_of(
+        st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1))),
+        st.builds(Fraction, st.integers(0, 8), st.integers(1, 8)).filter(lambda u: u <= 1),
+        st.sampled_from((Fraction(-1, 4), Fraction(5, 4))),
+        st.sampled_from((1 - Fraction(1, 10**11), 1 - Fraction(1, 10**14))),
+    )
+
+    def value(u):
+        c = big * u
+        if kind == "int":
+            return int(c) if c.denominator == 1 else c
+        return float(c) if kind == "float" and draw(st.booleans()) else c
+
+    x = {v: value(draw(unit)) for v in draw(st.permutations(sigma))}
+    if draw(st.integers(0, 9)):
+        x[draw(st.sampled_from(sigma))] = big_r
+    pinned = draw(st.sampled_from(sigma))
+    pieces = enumerate_pieces(sigma, pinned)
+    tau, s = pieces[draw(st.integers(0, len(pieces) - 1))]
+    raw = [draw(st.integers(0, 4)) for _ in s]
+    raw[draw(st.integers(0, len(s) - 1))] += 1
+    t = [Fraction(w, sum(raw)) for w in raw]
+    if not draw(st.integers(0, 9)):
+        t[draw(st.integers(0, len(t) - 1))] -= Fraction(1, 2)
+    if kind == "float":
+        t = [float(w) for w in t]
+    r = {v: value(min(draw(unit), Fraction(1))) for v in tau}
+    if draw(st.integers(0, 9)):
+        r[pinned] = big_r
+    return kind, sigma, big_r, x, pinned, s, t, r
+
+
+@settings(max_examples=500, deadline=None)
+@given(psi_cases())
+def test_psi_maps_match_the_old_arithmetic(case):
+    kind, sigma, big_r, x, pinned, s, t, r = case
+    rest = {v: xv for v, xv in x.items() if v != pinned}
+    _agree(_outcome(psi_inverse, sigma, big_r, x), _outcome(_old_psi_inverse, sigma, big_r, x), kind)
+    _agree(
+        _outcome(decompose_cube_point, sigma, pinned, big_r, rest),
+        _outcome(_old_decompose, sigma, pinned, big_r, rest), kind,
+    )
+    _agree(
+        _outcome(psi_inverse_piece, sigma, pinned, big_r, s, rest),
+        _outcome(_old_psi_inverse_piece, sigma, pinned, big_r, s, rest), kind,
+    )
+    _agree(
+        _outcome(psi_forward, sigma, pinned, big_r, s, t, r),
+        _outcome(_old_psi_forward, sigma, pinned, big_r, s, t, r), kind,
+    )
+    inverse = _outcome(psi_inverse, sigma, big_r, x)
+    if kind != "float" and inverse[0] != "DomainError" and x[inverse[0]] == big_r:
+        pin, _, chain, weights, stretch = inverse
+        assert psi_forward(sigma, pin, big_r, chain, weights, stretch) == x
 
 
 # -- cube coverage -------------------------------------------------------------------------
