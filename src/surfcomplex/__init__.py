@@ -32,6 +32,7 @@ from .lattice import (
 from .simplicial import (
     Chain,
     Cochain,
+    ComplexTooLarge,
     FillError,
     Simplex,
     SimplicialComplex,

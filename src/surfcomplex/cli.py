@@ -27,7 +27,7 @@ import sys
 
 from . import adjunction, paramgeo, wallcross
 from .lattice import Catalog, LatticeError, ManifoldModel, SpinCStructure, k3_model, make_example_family, sphere_model, zero_spinc
-from .simplicial import chain_to_json, complex_from_json, complex_to_json, dumps
+from .simplicial import ComplexTooLarge, chain_to_json, complex_from_json, complex_to_json, dumps
 from .wallcross import (
     BoundingCollection,
     BoundingError,
@@ -43,7 +43,9 @@ class InputError(Exception):
 
 
 # the library's validation errors: bad input, reported with exit 2
-VALIDATION_ERRORS = (LatticeError, CollectionError, BoundingError, HypothesisError, paramgeo.DomainError)
+VALIDATION_ERRORS = (
+    LatticeError, CollectionError, BoundingError, HypothesisError, ComplexTooLarge, paramgeo.DomainError,
+)
 
 
 def load_json(path):

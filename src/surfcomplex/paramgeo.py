@@ -33,7 +33,12 @@ over their least common denominator D, compares the integer numerators and
 builds each output once as a ``Fraction``.  A float among the inputs keeps
 D = 1 and every value as it is.  The psi maps are therefore exact on all
 rational input, an int R included, and ``q_cover_check`` walks its grid in
-whole steps by the same argument.
+whole steps by the same argument.  One reader serves every cube point: it
+requires R > 0 and a point indexed by exactly sigma minus the pinned
+vertex, and raises ``DomainError`` otherwise, but leaves [0, R] to its
+callers.  One predicate decides whether a point lies in the region of a
+piece, by comparing values, never by testing a difference against 0: with
+a float among the inputs a difference can round to 0 and lose its sign.
 """
 
 from __future__ import annotations
@@ -355,12 +360,6 @@ class MetricDescriptor:
             )
         return segs
 
-    def regions_disjoint(self):
-        """Segments live in neighborhoods of distinct surfaces, which stay
-        disjoint at any scale within the weight bound."""
-        surfaces = [seg.region[0] for seg in self.cylinder_segments()]
-        return len(surfaces) == len(set(surfaces))
-
 
 def metric_descriptor(sigma, s, chains, weights, r, a, warp=WARP_CLAIMED):
     """Descriptor of the metric at a parameter point.
@@ -418,16 +417,21 @@ def _quotient(num, den):
     return Fraction(num, den) if type(num) is int and type(den) is int else num / den
 
 
-def boundary_corner(sigma, pinned, tau, big_r):
-    """Corner of the cube assigned to a face: coordinates in tau go to R,
-    the rest to 0; the pinned coordinate is omitted."""
+def _cube_point(sigma, pinned, big_r, x):
+    """The one reader of a cube point (see the module docstring): the
+    numerators of ``x`` and R over their common denominator D, and D.  It
+    does not check that the point lies in [0, R]."""
     sigma = face(sigma)
-    tau = face(tau)
-    if pinned not in tau:
-        raise DomainError(f"{pinned!r} is not a vertex of {tau}")
-    if not tau.is_face_of(sigma):
-        raise DomainError(f"{tau} is not a face of {sigma}")
-    return {v: (big_r if v in tau else 0 * big_r) for v in sigma if v != pinned}
+    if pinned not in sigma:
+        raise DomainError(f"{pinned!r} is not a vertex of {sigma}")
+    rest = [v for v in sigma if v != pinned]
+    if set(x) != set(rest):
+        raise DomainError(f"cube point indexed by {sorted(x)}, want {rest}")
+    nums, d = _common_denominator([*x.values(), big_r])
+    big = nums.pop()
+    if big <= 0:
+        raise DomainError(f"R must be positive, got {big_r}")
+    return dict(zip(x, nums)), big, d
 
 
 def _cube_chain(pinned, x, xs, big, big_r):
@@ -457,15 +461,8 @@ def decompose_cube_point(sigma, pinned, big_r, x):
     toward the smallest vertex id, which keeps the choice deterministic;
     any tie choice lands in the same closed region).
     """
-    sigma = face(sigma)
-    if pinned not in sigma:
-        raise DomainError(f"{pinned!r} is not a vertex of {sigma}")
-    rest = [v for v in sigma if v != pinned]
-    if set(x) != set(rest):
-        raise DomainError(f"cube point indexed by {sorted(x)}, want {rest}")
-    nums, _ = _common_denominator([*x.values(), big_r])
-    big = nums.pop()
-    tau, s, _ = _cube_chain(pinned, x, dict(zip(x, nums)), big, big_r)
+    xs, big, _ = _cube_point(sigma, pinned, big_r, x)
+    tau, s, _ = _cube_chain(pinned, x, xs, big, big_r)
     return tau, s
 
 
@@ -480,19 +477,30 @@ def _added_vertices(s):
     return added
 
 
-def in_region(sigma, pinned, tau, s, big_r, x):
-    """Membership of a cube point in the closed region of a piece (tau, s)."""
-    sigma = face(sigma)
-    tau = face(tau)
-    s = face_chain(s)
-    big = _as_number(big_r)
-    for xv in (_as_number(x[v]) for v in tau if v != pinned):
-        if not (big <= 2 * xv and xv <= big):
-            return False
-    values = [_as_number(x[v]) for v in _added_vertices(s)]
-    if any(2 * v > big for v in values):
+def _heights(added, xs, big):
+    """The heights (B, 2X_1, ..., 2X_k, 0) along the vertices a piece adds."""
+    return [big, *(2 * xs[v] for v in added), 0]
+
+
+def _in_region(pinned, tau, added, xs, big):
+    """The one region predicate, on numerators: B <= 2X_v <= 2B on tau minus
+    the pinned vertex, and heights that never increase, compared pairwise
+    (never a difference against 0; see the module docstring)."""
+    if not all(big <= 2 * xs[v] <= 2 * big for v in tau if v != pinned):
         return False
-    return all(a >= b for a, b in zip(values, values[1:]))
+    h = _heights(added, xs, big)
+    return all(a >= b for a, b in zip(h, h[1:]))
+
+
+def in_region(sigma, pinned, tau, s, big_r, x):
+    """Membership of a cube point in the closed region of a piece (tau, s).
+    A malformed piece or point, or R <= 0, raises ``DomainError``; a point
+    outside the cube is in no region."""
+    sigma, s, tau_s, added = _check_piece(sigma, pinned, s)
+    if face(tau) != tau_s:
+        raise DomainError(f"{face(tau)} is not the smallest face of the chain {s}")
+    xs, big, _ = _cube_point(sigma, pinned, big_r, x)
+    return _in_region(pinned, tau_s, added, xs, big)
 
 
 def _check_piece(sigma, pinned, s):
@@ -504,11 +512,6 @@ def _check_piece(sigma, pinned, s):
         raise DomainError(f"pinned vertex {pinned!r} not in the smallest face {tau}")
     if chain_simax(s) != sigma:
         raise DomainError(f"chain must end at {sigma}, ends at {chain_simax(s)}")
-    if len(s) + len(tau) != len(sigma) + 1:
-        raise DomainError(
-            f"piece chain must be saturated: {len(s)} faces from {tau} to {sigma}"
-        )
-    # a strict chain of that many faces from tau to sigma adds one vertex a step
     return sigma, s, tau, _added_vertices(s)
 
 
@@ -557,27 +560,24 @@ def psi_forward(sigma, pinned, big_r, s, t, r):
 
 
 def _piece_inverse(pinned, tau, added, xs, big, d, big_r):
-    """The numerators of t over ``big``, t and r for a cube point on the
-    piece from tau adding ``added``: with heights h = (B, 2X_1, ..., 2X_k, 0)
-    along it, t_j = (h_j - h_{j+1}) / B, and r_v = (2X_v - B) / D on tau."""
-    heights = [big] + [2 * xs[v] for v in added] + [0]
-    nums = [a - b for a, b in zip(heights, heights[1:])]
-    t = [_quotient(n, big) for n in nums] if added else [1]
+    """t and r for a cube point on the piece from tau adding ``added``: with
+    the heights h along it, t_j = (h_j - h_{j+1}) / B, and r_v = (2X_v - B) / D
+    on tau."""
+    h = _heights(added, xs, big)
+    t = [_quotient(a - b, big) for a, b in zip(h, h[1:])] if added else [1]
     r = {v: _quotient(2 * xs[v] - big, d) for v in tau if v != pinned}
     r[pinned] = big_r
-    return nums, t, r
+    return t, r
 
 
 def psi_inverse_piece(sigma, pinned, big_r, s, x):
-    """Invert the forward map on one piece; x omits the pinned coordinate."""
+    """Invert the forward map on one piece; x omits the pinned coordinate.
+    A point outside the region of the piece raises ``DomainError``, as do
+    the inputs ``in_region`` refuses."""
     sigma, s, tau, added = _check_piece(sigma, pinned, s)
-    used = added + [v for v in tau if v != pinned]
-    nums, d = _common_denominator([*(x[v] for v in used), big_r])
-    big = nums.pop()
-    nums, t, r = _piece_inverse(pinned, tau, added, dict(zip(used, nums)), big, d, big_r)
-    # t_j = n_j / B < -1e-12, multiplied through by B * B
-    bound = -_TRIP_TOL.numerator * big * big
-    if any(n * big * _TRIP_TOL.denominator < bound for n in nums):
+    xs, big, d = _cube_point(sigma, pinned, big_r, x)
+    t, r = _piece_inverse(pinned, tau, added, xs, big, d, big_r)
+    if not _in_region(pinned, tau, added, xs, big):
         raise DomainError(f"point not in the region of this piece: weights {t}")
     return t, r
 
@@ -610,7 +610,7 @@ def psi_inverse(sigma, big_r, x):
     if pinned is None:
         raise DomainError("no coordinate equals R: point is not on the exterior boundary")
     tau, s, added = _cube_chain(pinned, x, xs, big, big_r)
-    _, t, r = _piece_inverse(pinned, tau, added, xs, big, d, big_r)
+    t, r = _piece_inverse(pinned, tau, added, xs, big, d, big_r)
     return pinned, tau, s, t, r
 
 
@@ -658,9 +658,9 @@ def q_cover_check(sigma, big_r, step):
 
     The grid is walked in whole steps, as integers 0..n with n = R/step
     standing for R, by the scaling argument of the module docstring; sigma
-    is validated once and every point is audited by ``in_region``.  The
-    ``len(sigma) * (n + 1) ** (len(sigma) - 1)`` points are counted first;
-    more than COVER_MAX_POINTS raise ``DomainError``.
+    is validated once and every point is audited by the region predicate of
+    ``in_region``.  The ``len(sigma) * (n + 1) ** (len(sigma) - 1)`` points
+    are counted first; more than COVER_MAX_POINTS raise ``DomainError``.
     """
     sigma = face(sigma)
     big_r = Fraction(big_r)
@@ -677,8 +677,8 @@ def q_cover_check(sigma, big_r, step):
         rest = [v for v in sigma if v != pinned]
         for combo in iter_product(range(n + 1), repeat=len(rest)):
             x = dict(zip(rest, combo))
-            tau, s, _ = _cube_chain(pinned, x, x, n, n)
-            if not in_region(sigma, pinned, tau, s, n, x):
+            tau, _, added = _cube_chain(pinned, x, x, n, n)
+            if not _in_region(pinned, tau, added, x, n):
                 uncovered.append((pinned, x))
     return {
         "sigma": list(sigma),

@@ -321,6 +321,14 @@ class SimplicialComplex:
         return betti
 
 
+class ComplexTooLarge(ValueError):
+    """A flag complex would hold more than FLAG_MAX_SIMPLICES simplices."""
+
+
+# the most simplices flag_complex builds; ex46 k=80 at max_dim 2 has 670,080
+FLAG_MAX_SIMPLICES = 1_000_000
+
+
 def flag_complex(vertex_ids, disjoint_pairs, max_dim):
     """The clique complex of a symmetric irreflexive relation, truncated.
 
@@ -328,7 +336,9 @@ def flag_complex(vertex_ids, disjoint_pairs, max_dim):
     ``max_dim + 1`` vertices.  The truncation is mandatory: ambient
     complexes are unbounded in principle.  Each clique is emitted once,
     sorted, grown from the common neighbours above its last vertex
-    (incremental expansion, Zomorodian 2010).
+    (incremental expansion, Zomorodian 2010).  Each expansion counts the
+    cliques it is about to emit; once the count passes FLAG_MAX_SIMPLICES
+    it raises ``ComplexTooLarge``.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -341,7 +351,13 @@ def flag_complex(vertex_ids, disjoint_pairs, max_dim):
             adj[a].add(b)
             adj[b].add(a)
 
+    count = 0
+
     def cliques(clique, above):
+        nonlocal count
+        count += len(above)
+        if count > FLAG_MAX_SIMPLICES:
+            raise ComplexTooLarge(f"flag complex exceeds {FLAG_MAX_SIMPLICES} simplices at max_dim {max_dim}")
         for i, v in enumerate(above):
             bigger = clique + (v,)
             yield _sorted_simplex(bigger)

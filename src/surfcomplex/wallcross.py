@@ -16,13 +16,12 @@ say so).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .adjunction import AMBIENTS, ambient_complex
 from .lattice import (
     Catalog,
-    LatticeError,
-    SurfaceClass,
+    HomologyClass,
     blowup,
     blowup_resolve_surface,
     chi_minus,
@@ -30,7 +29,7 @@ from .lattice import (
     formal_dimension,
     json_int,
 )
-from .simplicial import Chain, FillError, cone_fill, flag_complex, oriented
+from .simplicial import Chain, FillError, cone_fill, flag_complex
 
 
 class CollectionError(ValueError):
@@ -206,8 +205,6 @@ def certify(collection):
         raise CollectionError(f"members absent from catalog: {missing}")
 
     h = {i: collection.h_labels[i - 1] for i in range(1, k + 1)}
-    from .lattice import HomologyClass
-
     h_cls = {i: HomologyClass.of(h[i]) for i in h}
 
     for i in range(1, k + 1):
@@ -596,27 +593,10 @@ def derive_constraints(host_catalog, collection, bounding, seed):
     needs_blowup = any(q > 0 for q in squares.values())
 
     notes = []
-    rows = []
     blocks = {}
     sign = None
-    if not needs_blowup:
-        manifold, spinc = host_catalog.manifold, host_catalog.spinc
-        for s in member_surfaces:
-            pairing = manifold.pairing(spinc.c1, s.cls)
-            bound = abs(pairing)
-            rows.append(
-                ConstraintRow(
-                    id=s.id,
-                    genus=s.genus,
-                    chi_minus=s.chi_minus(),
-                    c1_pairing=pairing,
-                    self_intersection=0,
-                    bound=bound,
-                    strengthened=False,
-                    satisfied=s.chi_minus() >= bound,
-                )
-            )
-    else:
+    resolved = host_catalog
+    if needs_blowup:
         sign = max(
             (1, -1),
             key=lambda sg: _blowup_sign_score(host_catalog, member_surfaces, sg),
@@ -633,35 +613,34 @@ def derive_constraints(host_catalog, collection, bounding, seed):
                 new_surfaces.append(blowup_resolve_surface(model, s, block))
             else:
                 new_surfaces.append(s)
-        transformed = Catalog(model, spinc, tuple(new_surfaces), host_catalog.disjoint)
+        resolved = Catalog(model, spinc, tuple(new_surfaces), host_catalog.disjoint)
         notes.append(
             f"blow-up by {total} exceptional classes, c1 shifted with sign {sign:+d}; "
             "transformed members have self-intersection 0 and unchanged genus"
         )
         re_verdict = verify_bounding(
-            transformed, collection, BoundingCollection(bounding.terms, ambient="null")
+            resolved, collection, BoundingCollection(bounding.terms, ambient="null")
         )
         if not re_verdict.verified:
             raise BoundingError("bounding fails to re-verify after the blow-up transform")
-        base = host_catalog.manifold
-        for s in member_surfaces:
-            sq = squares[s.id]
-            base_pairing = base.pairing(host_catalog.spinc.c1, s.cls)
-            resolved = transformed.surface(s.id)
-            pairing = transformed.manifold.pairing(spinc.c1, resolved.cls)
-            bound = abs(pairing)
-            rows.append(
-                ConstraintRow(
-                    id=s.id,
-                    genus=s.genus,
-                    chi_minus=s.chi_minus(),
-                    c1_pairing=base_pairing,
-                    self_intersection=sq,
-                    bound=bound,
-                    strengthened=bound == abs(base_pairing) + sq,
-                    satisfied=s.chi_minus() >= bound,
-                )
+    # without a blow-up every member has square 0 and resolves to itself
+    rows = []
+    for s in member_surfaces:
+        sq = squares[s.id]
+        base_pairing = host_catalog.manifold.pairing(host_catalog.spinc.c1, s.cls)
+        bound = abs(resolved.manifold.pairing(resolved.spinc.c1, resolved.surface(s.id).cls))
+        rows.append(
+            ConstraintRow(
+                id=s.id,
+                genus=s.genus,
+                chi_minus=s.chi_minus(),
+                c1_pairing=base_pairing,
+                self_intersection=sq,
+                bound=bound,
+                strengthened=needs_blowup and bound == abs(base_pairing) + sq,
+                satisfied=s.chi_minus() >= bound,
             )
+        )
 
     rows = tuple(sorted(rows, key=lambda r: r.id))
     return ConstraintReport(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from surfcomplex import cli
+from surfcomplex import cli, simplicial
 from surfcomplex.cli import main
 from surfcomplex.lattice import Catalog, HomologyClass, SurfaceClass
 from surfcomplex.simplicial import chain_from_json, complex_from_json
@@ -255,6 +255,14 @@ def test_paramgeo_selftest_max_dim_out_of_range_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "max_dim" in err
+
+
+def test_oversized_complex_exit_2(coll_path, monkeypatch, capsys):
+    monkeypatch.setattr(simplicial, "FLAG_MAX_SIMPLICES", 3)
+    code, out, err = run(capsys, "complex", "build", "--input", str(coll_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: flag complex exceeds 3 simplices at max_dim 4\n"
 
 
 def test_parser_is_built_once():

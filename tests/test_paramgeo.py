@@ -19,7 +19,6 @@ from surfcomplex.paramgeo import (
     _added_vertices,
     _as_number,
     all_faces,
-    boundary_corner,
     cutoff,
     cylinder_length,
     cylinder_length_quadrature,
@@ -359,7 +358,6 @@ def test_descriptor_worked_example():
     assert segs["B"].total_length == 7
     assert segs["A"].inner_length == 2
     assert segs["B"].inner_length == 3
-    assert d.regions_disjoint()
 
 
 def test_descriptor_terms_share_scale_and_stretch():
@@ -385,15 +383,6 @@ def test_descriptor_validates_point():
 
 
 # -- cube decomposition ----------------------------------------------------------------
-
-def test_boundary_corner_cases():
-    sigma = ("P", "a", "b")
-    assert boundary_corner(sigma, "P", ("P",), 1) == {"a": 0, "b": 0}
-    assert boundary_corner(sigma, "P", sigma, 1) == {"a": 1, "b": 1}
-    assert boundary_corner(sigma, "P", ("P", "a"), 1) == {"a": 1, "b": 0}
-    with pytest.raises(DomainError):
-        boundary_corner(sigma, "P", ("a",), 1)
-
 
 def test_decompose_all_zero():
     sigma = ("P", "a", "b", "c")
@@ -422,6 +411,76 @@ def test_decompose_greedy_order():
 def test_in_region_rejects_non_saturated_chain():
     with pytest.raises(DomainError, match="jumps from"):
         in_region("ABC", "A", "A", ["A", "ABC"], 1, {"B": 0, "C": 0})
+
+
+ABC_CHAIN = (("A",), ("A", "B"), ("A", "B", "C"))
+
+
+@pytest.mark.parametrize("call,message", [
+    # a missing coordinate and R <= 0 used to escape as KeyError/ZeroDivisionError
+    (lambda: psi_inverse_piece(("A", "B", "C"), "A", 1, ABC_CHAIN, {"B": 0}),
+     r"cube point indexed by \['B'\], want \['B', 'C'\]"),
+    (lambda: psi_inverse_piece(("A", "B"), "A", 0, (("A",), ("A", "B")), {"B": 0}),
+     "R must be positive, got 0"),
+    (lambda: psi_inverse_piece(("A", "B"), "A", -1, (("A",), ("A", "B")), {"B": 0}),
+     "R must be positive, got -1"),
+    # x_B = 0 is below tau's band [R/2, R]: the stretch r_B would be -1
+    (lambda: psi_inverse_piece(("A", "B"), "A", 1, (("A", "B"),), {"B": 0}),
+     "point not in the region of this piece"),
+    (lambda: in_region("ABC", "A", ("A",), (("A", "B"), ("A", "B", "C")), 1, {"B": 0, "C": 0}),
+     "is not the smallest face of the chain"),
+    (lambda: in_region("ABC", "A", ("A",), (("A",), ("A", "B")), 1, {"C": 5}),
+     "chain must end at"),
+    (lambda: in_region(("A", "B"), "Z", ("A",), (("A",), ("A", "B")), 1, {"B": 0}),
+     "pinned vertex 'Z' not in the smallest face"),
+    (lambda: in_region(("A", "B", "C"), "A", ("A",), ABC_CHAIN, 1, {"B": 0}),
+     "cube point indexed by"),
+], ids=[
+    "inverse-missing-coordinate", "inverse-zero-radius", "inverse-negative-radius",
+    "inverse-below-tau-band", "region-tau-not-first", "region-chain-short-of-sigma",
+    "region-pinned-outside-sigma", "region-missing-coordinate",
+])
+def test_cube_side_refuses_malformed_input(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_in_region_is_false_outside_the_cube():
+    assert not in_region(("A", "B"), "A", ("A",), (("A",), ("A", "B")), 1, {"B": -5})
+
+
+@st.composite
+def piece_points(draw):
+    """A simplex of 1-4 vertices, a pinned vertex, R as an int or a Fraction,
+    and a point with coordinates j/8 * R for j in -2..10."""
+    sigma = tuple("ABCD"[: draw(st.integers(1, 4))])
+    pinned = draw(st.sampled_from(sigma))
+    big_r = draw(st.one_of(
+        st.integers(1, 12), st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+    ))
+    x = {}
+    for v in sigma:
+        if v != pinned:
+            c = big_r * Fraction(draw(st.integers(-2, 10)), 8)
+            x[v] = int(c) if c.denominator == 1 and draw(st.booleans()) else c
+    return sigma, pinned, big_r, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(piece_points())
+def test_psi_inverse_piece_returns_exactly_in_the_region(case):
+    sigma, pinned, big_r, x = case
+    hits = 0
+    for tau, s in enumerate_pieces(sigma, pinned):
+        if not in_region(sigma, pinned, tau, s, big_r, x):
+            with pytest.raises(DomainError, match="not in the region of this piece"):
+                psi_inverse_piece(sigma, pinned, big_r, s, x)
+            continue
+        hits += 1
+        t, r = psi_inverse_piece(sigma, pinned, big_r, s, x)
+        assert psi_forward(sigma, pinned, big_r, s, t, r) == {**x, pinned: big_r}
+    # the pieces cover the cube and nothing outside it
+    assert (hits > 0) == all(0 <= xv <= big_r for xv in x.values())
 
 
 def test_decompose_validates():
@@ -739,6 +798,19 @@ def _agree(new, old, kind):
             assert u == v, (new, old)
 
 
+def _outside_piece(sigma, pinned, big_r, s, x):
+    """Whether the old inverse returns a negative weight or a stretch outside
+    [0, R].  It runs on the exact values of its inputs: on float input its
+    own rounding can turn a negative weight into 0.0."""
+    big_r = Fraction(big_r)
+    old = _outcome(_old_psi_inverse_piece, sigma, pinned, big_r, s,
+                   {v: Fraction(xv) for v, xv in x.items()})
+    if old[0] == "DomainError":
+        return False
+    t, r = old
+    return any(w < 0 for w in t) or not all(0 <= rv <= big_r for rv in r.values())
+
+
 @st.composite
 def psi_cases(draw):
     """A simplex of 1-6 vertices, R as an int, a Fraction or a float, a point
@@ -794,10 +866,12 @@ def test_psi_maps_match_the_old_arithmetic(case):
         _outcome(decompose_cube_point, sigma, pinned, big_r, rest),
         _outcome(_old_decompose, sigma, pinned, big_r, rest), kind,
     )
-    _agree(
-        _outcome(psi_inverse_piece, sigma, pinned, big_r, s, rest),
-        _outcome(_old_psi_inverse_piece, sigma, pinned, big_r, s, rest), kind,
-    )
+    piece = _outcome(psi_inverse_piece, sigma, pinned, big_r, s, rest)
+    if _outside_piece(sigma, pinned, big_r, s, rest):
+        # the old map let a point outside the piece's region through
+        assert piece[0] == "DomainError", piece
+    else:
+        _agree(piece, _outcome(_old_psi_inverse_piece, sigma, pinned, big_r, s, rest), kind)
     _agree(
         _outcome(psi_forward, sigma, pinned, big_r, s, t, r),
         _outcome(_old_psi_forward, sigma, pinned, big_r, s, t, r), kind,
@@ -974,10 +1048,10 @@ def test_cover_report_matches_oracle(sigma, big_r, step):
 
 def test_cover_reports_uncovered_points_in_r_units(monkeypatch):
     # reject every point whose coordinate a sits at R/4, whatever the units
-    def fake(sigma, pinned, tau, s, big_r, x):
-        return not ("a" in x and 4 * x["a"] == big_r)
+    def fake(pinned, tau, added, xs, big):
+        return not ("a" in xs and 4 * xs["a"] == big)
 
-    monkeypatch.setattr(paramgeo, "in_region", fake)
+    monkeypatch.setattr(paramgeo, "_in_region", fake)
     report = q_cover_check(("P", "a", "b"), 1, Fraction(1, 4))
     ticks = ["0", "1/4", "1/2", "3/4", "1"]
     assert report["uncovered"] == 10

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfcomplex import simplicial
 from surfcomplex.simplicial import (
     Chain,
     Cochain,
+    ComplexTooLarge,
     DegreeError,
     FillError,
     Simplex,
@@ -195,6 +198,19 @@ def test_flag_empty_relation():
 def test_flag_max_dim_truncates():
     K = flag_complex("abcd", [(x, y) for x in "abcd" for y in "abcd" if x < y], 2)
     assert K.dim == 2 and len(K.simplices(2)) == 4
+
+
+def test_flag_complex_budget_boundary(monkeypatch):
+    # the complete graph on 5 vertices: C(5, 1) + ... + C(5, max_dim + 1) cliques
+    pairs = list(combinations("abcde", 2))
+    for max_dim in range(5):
+        count = sum(math.comb(5, j + 1) for j in range(max_dim + 1))
+        monkeypatch.setattr(simplicial, "FLAG_MAX_SIMPLICES", count)
+        assert len(flag_complex("abcde", pairs, max_dim)) == count
+        monkeypatch.setattr(simplicial, "FLAG_MAX_SIMPLICES", count - 1)
+        message = f"^flag complex exceeds {count - 1} simplices at max_dim {max_dim}$"
+        with pytest.raises(ComplexTooLarge, match=message):
+            flag_complex("abcde", pairs, max_dim)
 
 
 def test_full_subcomplex():
