@@ -210,12 +210,15 @@ class ManifoldModel:
         return tuple(lab for lab, sq in self.basis if sq == 1)
 
     def pairing(self, a, b):
-        """Diagonal intersection pairing of two classes on this basis."""
+        """Diagonal intersection pairing of two classes on this basis: a sum
+        over their common labels, once both supports are known to lie in it.
+        Sets are built only to name the unknown labels."""
         squares = self.squares
-        unknown = (a.support() | b.support()) - squares.keys()
-        if unknown:
+        ca, cb = a.coeffs, b.coeffs
+        if not (ca.keys() <= squares.keys() and cb.keys() <= squares.keys()):
+            unknown = (a.support() | b.support()) - squares.keys()
             raise LatticeError(f"classes use labels outside the basis: {sorted(map(str, unknown))}")
-        return sum(v * b.coeffs.get(lab, 0) * squares[lab] for lab, v in a.coeffs.items())
+        return sum(ca[lab] * cb[lab] * squares[lab] for lab in ca.keys() & cb.keys())
 
     def square(self, a):
         return self.pairing(a, a)
@@ -391,7 +394,7 @@ class Catalog:
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
         object.__setattr__(self, "_by_id", by_id)
         for s in self.surfaces:
-            unknown = s.cls.support() - set(self.manifold.labels)
+            unknown = s.cls.coeffs.keys() - self.manifold.squares.keys()
             if unknown:
                 raise LatticeError(
                     f"surface {s.id!r} uses labels outside the basis: {sorted(map(str, unknown))}"
@@ -458,8 +461,11 @@ class Catalog:
         return cls(manifold, spinc, surfaces, disjoint)
 
     def sha256(self):
-        text = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()
+        """Digest of the canonical JSON; computed once, as the catalog is frozen."""
+        if "_sha256" not in vars(self):
+            text = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_sha256", hashlib.sha256(text.encode()).hexdigest())
+        return self._sha256
 
 
 def infer_disjoint_from_support(surfaces):

@@ -36,9 +36,10 @@ rational input, an int R included, and ``q_cover_check`` walks its grid in
 whole steps by the same argument.  One reader serves every cube point: it
 requires R > 0 and a point indexed by exactly sigma minus the pinned
 vertex, and raises ``DomainError`` otherwise, but leaves [0, R] to its
-callers.  One predicate decides whether a point lies in the region of a
-piece, by comparing values, never by testing a difference against 0: with
-a float among the inputs a difference can round to 0 and lose its sign.
+callers; the psi maps refuse R <= 0 with the same error.  One predicate
+decides whether a point lies in the region of a piece, by comparing
+values, never by testing a difference against 0: with a float among the
+inputs a difference can round to 0 and lose its sign.
 """
 
 from __future__ import annotations
@@ -402,14 +403,19 @@ _TRIP_TOL = Fraction(1e-12)
 _SUM_TOL = Fraction(1e-9)
 
 
-def _common_denominator(values):
-    """The numerators of ``values`` over their least common denominator D,
-    and D; a float among the values keeps D = 1 and every value as it is."""
-    values = [_as_number(v) for v in values]
-    if any(isinstance(v, float) for v in values):
-        return values, 1
-    d = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values], d
+def _common_denominator(values, big_r):
+    """The numerators of ``values`` and of R over their least common
+    denominator D, and D; a float among them keeps D = 1 and every value as
+    it is.  R <= 0 raises ``DomainError``."""
+    nums = [_as_number(v) for v in [*values, big_r]]
+    d = 1
+    if not any(isinstance(v, float) for v in nums):
+        d = math.lcm(*[v.denominator for v in nums])
+        nums = [v.numerator * (d // v.denominator) for v in nums]
+    big = nums.pop()
+    if big <= 0:
+        raise DomainError(f"R must be positive, got {big_r}")
+    return nums, big, d
 
 
 def _quotient(num, den):
@@ -427,10 +433,7 @@ def _cube_point(sigma, pinned, big_r, x):
     rest = [v for v in sigma if v != pinned]
     if set(x) != set(rest):
         raise DomainError(f"cube point indexed by {sorted(x)}, want {rest}")
-    nums, d = _common_denominator([*x.values(), big_r])
-    big = nums.pop()
-    if big <= 0:
-        raise DomainError(f"R must be positive, got {big_r}")
+    nums, big, d = _common_denominator(x.values(), big_r)
     return dict(zip(x, nums)), big, d
 
 
@@ -528,8 +531,7 @@ def psi_forward(sigma, pinned, big_r, s, t, r):
     sigma, s, tau, added = _check_piece(sigma, pinned, s)
     if len(t) != len(s):
         raise DomainError(f"{len(s)} chain entries but {len(t)} weights")
-    nums, d = _common_denominator([*t, *r.values(), big_r])
-    big = nums.pop()
+    nums, big, d = _common_denominator([*t, *r.values()], big_r)
     ts, rs = nums[: len(t)], dict(zip(r, nums[len(t):]))
     if any(w < 0 for w in ts):
         raise DomainError("barycentric weights are non-negative")
@@ -601,8 +603,7 @@ def psi_inverse(sigma, big_r, x):
     sigma = face(sigma)
     if set(x) != set(sigma):
         raise DomainError(f"point indexed by {sorted(x)}, want {sigma}")
-    nums, d = _common_denominator([*x.values(), big_r])
-    big = nums.pop()
+    nums, big, d = _common_denominator(x.values(), big_r)
     xs = dict(zip(x, nums))
     # |x_v - R| < 1e-12, multiplied through by D
     tol = _TRIP_TOL.numerator * d

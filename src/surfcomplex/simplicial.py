@@ -240,7 +240,9 @@ def coboundary(complex_, cochain):
 class SimplicialComplex:
     """A downward-closed set of simplices, indexed by dimension.  The input
     is bucketed by dimension and closed in one pass from the top down: each
-    level adds its facets to the level below."""
+    level adds its facets to the level below.  :func:`flag_complex` and
+    :func:`full_subcomplex` fill the levels of an empty complex directly,
+    since what they emit is closed already."""
 
     def __init__(self, simplices=()):
         by_dim = {}
@@ -336,7 +338,9 @@ def flag_complex(vertex_ids, disjoint_pairs, max_dim):
     ``max_dim + 1`` vertices.  The truncation is mandatory: ambient
     complexes are unbounded in principle.  Each clique is emitted once,
     sorted, grown from the common neighbours above its last vertex
-    (incremental expansion, Zomorodian 2010).  Each expansion counts the
+    (incremental expansion, Zomorodian 2010), straight into its level:
+    every face of a clique is a clique, so the levels are closed by
+    construction and there is no closure pass.  Each expansion counts the
     cliques it is about to emit; once the count passes FLAG_MAX_SIMPLICES
     it raises ``ComplexTooLarge``.
     """
@@ -351,20 +355,25 @@ def flag_complex(vertex_ids, disjoint_pairs, max_dim):
             adj[a].add(b)
             adj[b].add(a)
 
+    complex_ = SimplicialComplex()
     count = 0
-
-    def cliques(clique, above):
-        nonlocal count
+    # a stack, not a recursive closure, whose reference cycle would hold
+    # each built complex until the cyclic collector runs
+    expansions = [((), vertex_ids)]
+    while expansions:
+        clique, above = expansions.pop()
+        if not above:
+            continue
         count += len(above)
         if count > FLAG_MAX_SIMPLICES:
             raise ComplexTooLarge(f"flag complex exceeds {FLAG_MAX_SIMPLICES} simplices at max_dim {max_dim}")
+        level = complex_._by_dim.setdefault(len(clique), set())
         for i, v in enumerate(above):
             bigger = clique + (v,)
-            yield _sorted_simplex(bigger)
+            level.add(_sorted_simplex(bigger))
             if len(bigger) <= max_dim:
-                yield from cliques(bigger, [u for u in above[i + 1:] if u in adj[v]])
-
-    return SimplicialComplex(cliques((), vertex_ids))
+                expansions.append((bigger, [u for u in above[i + 1:] if u in adj[v]]))
+    return complex_
 
 
 def full_subcomplex(complex_, vertex_subset):
@@ -522,7 +531,9 @@ def _vertex_from_json(v):
 
 
 def complex_to_json(complex_):
-    return {"simplices": [[_vertex_to_json(v) for v in s] for s in complex_.simplices()]}
+    """``{"simplices": [...]}``, each vertex converted once, from level 0."""
+    form = {v: _vertex_to_json(v) for (v,) in complex_._by_dim.get(0, ())}
+    return {"simplices": [[form[v] for v in s] for s in complex_.simplices()]}
 
 
 def complex_from_json(doc):

@@ -449,3 +449,74 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, surfcomplex.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
+
+
+def _family_path(tmp_path, capsys, k, copies=False):
+    """An ex46 k-family (all degrees 2, blocks of 4), optionally with one
+    parallel copy of every surface in its catalog."""
+    path = tmp_path / f"ex46-k{k}{'-copies' if copies else ''}.json"
+    d, l = ",".join(["2"] * (2 * k)), ",".join(["4"] * k)
+    code, _, _ = run(capsys, "examples", "make", "--kind", "ex46", "--k", str(k), "--d", d, "--l", l,
+                     "--format", "json", "--output", str(path))
+    assert code == 0
+    if copies:
+        doc = json.loads(path.read_text())
+        catalog = Catalog.from_json(doc["catalog"])
+        for sid in catalog.ids():
+            catalog = catalog.with_parallel_copy(sid)
+        doc["catalog"] = catalog.to_json()
+        path.write_text(json.dumps(doc))
+    return path
+
+
+# sha256 of JSON reports at the default --max-dim 4, recorded before flag
+# complexes were filled level by level: construction work must not move a
+# byte of them
+REPORT_DIGESTS = {
+    ("complex", "build", 6, False): "8149703337475407912d56b6d22c88b356c45d98c41f81bcdb7ec599dc30f9d4",
+    ("complex", "build", 5, True): "0f7614dcfac192f4ecca7b5a2fa89e89ee779037d93d013f5267d48a1131d9cf",
+    ("wallcross", "cycle", 7, False): "e81d6c43d758d6f3a2e35361968decbb2698326d1928bce1dc009c089424deed",
+}
+
+
+@pytest.mark.parametrize("key", list(REPORT_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+def test_report_bytes_are_pinned(tmp_path, capsys, key):
+    command, subcommand, k, copies = key
+    path = _family_path(tmp_path, capsys, k, copies)
+    code, out, _ = run(capsys, command, subcommand, "--input", str(path), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[key]
+
+
+def _nonzero_pairing(doc):
+    # every pair declared disjoint: S1+/S1- and S2+/S2- pair to 8
+    ids = [s["id"] for s in doc["surfaces"]]
+    doc["disjoint"] = [[a, b] for i, a in enumerate(ids) for b in ids[i + 1:]]
+    return b"surfaces 'S1+', 'S1-' declared disjoint but pair 8"
+
+
+def _label_outside_basis(doc):
+    # two surfaces in disjoint pairs use labels the manifold lacks
+    doc["surfaces"][0]["class"].update({"Z9": 1, "Y7": 1})
+    doc["surfaces"][3]["class"]["X5"] = 1
+    return b"classes use labels outside the basis: ['Y7', 'Z9']"
+
+
+@pytest.mark.parametrize("spoil", [_nonzero_pairing, _label_outside_basis])
+def test_catalog_error_is_independent_of_hash_seed(coll_path, tmp_path, spoil):
+    doc = json.loads(coll_path.read_text())["catalog"]
+    message = spoil(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    results = []
+    for hash_seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "surfcomplex.cli", "complex", "build", "--input", str(bad)],
+            capture_output=True, env=env,
+        )
+        results.append((proc.returncode, proc.stderr))
+    assert results[0][0] == 2
+    assert message in results[0][1]
+    assert all(r == results[0] for r in results)

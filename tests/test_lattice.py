@@ -1,8 +1,11 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfcomplex.lattice import (
     AggregateSummand,
@@ -63,6 +66,60 @@ def test_pairing_rejects_unknown_labels():
     m = projective_sum_model(1, 0)
     with pytest.raises(LatticeError):
         m.pairing(H("H1"), H("Z9"))
+
+
+def _pairing_oracle(m, a, b):
+    # test-local copy of the pairing that built support sets on every call
+    squares = m.squares
+    unknown = (a.support() | b.support()) - squares.keys()
+    if unknown:
+        raise LatticeError(f"classes use labels outside the basis: {sorted(map(str, unknown))}")
+    return sum(v * b.coeffs.get(lab, 0) * squares[lab] for lab, v in a.coeffs.items())
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except LatticeError as e:
+        return ("error", str(e))
+
+
+@st.composite
+def model_and_classes(draw):
+    """A projective sum model and two classes on its labels, at times with a
+    label outside it, at times with disjoint supports."""
+    m = projective_sum_model(draw(st.integers(0, 3)), draw(st.integers(0, 4)))
+    pool = list(m.labels) + (["Z9", "Y7"] if draw(st.booleans()) else [])
+    coeffs = st.dictionaries(st.sampled_from(pool), st.integers(-5, 5), max_size=6) if pool else st.just({})
+    a, b = draw(coeffs), draw(coeffs)
+    if draw(st.booleans()):
+        b = {lab: v for lab, v in b.items() if lab not in a}
+    return m, HomologyClass(a), HomologyClass(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_and_classes())
+def test_pairing_matches_set_oracle(mab):
+    m, a, b = mab
+    assert _outcome(m.pairing, a, b) == _outcome(_pairing_oracle, m, a, b)
+    assert _outcome(m.pairing, b, a) == _outcome(_pairing_oracle, m, b, a)
+
+
+def test_pairing_unknown_label_message():
+    m = projective_sum_model(1, 1)
+    a, b = HomologyClass({"H1": 1, "Z9": 2}), HomologyClass({"E1": 1, "Y7": -1})
+    with pytest.raises(LatticeError, match=r"^classes use labels outside the basis: \['Y7', 'Z9'\]$"):
+        m.pairing(a, b)
+    assert m.pairing(H("H1"), H("E1")) == 0
+
+
+def test_catalog_sha256_is_computed_once():
+    cat = _small_catalog()
+    text = json.dumps(cat.to_json(), sort_keys=True, separators=(",", ":"))
+    digest = cat.sha256()
+    assert digest == hashlib.sha256(text.encode()).hexdigest()
+    assert cat.sha256() is digest
+    assert cat.with_parallel_copy("S1+").sha256() != digest
 
 
 def test_chi_minus():

@@ -445,6 +445,20 @@ def test_cube_side_refuses_malformed_input(call, message):
         call()
 
 
+@pytest.mark.parametrize("call,message", [
+    # R = 0 used to return a point; R = -1 was refused only by a range message
+    (lambda: psi_inverse(("A", "B"), 0, {"A": 0, "B": 0}), "R must be positive, got 0"),
+    (lambda: psi_forward(("A", "B"), "A", 0, (("A",), ("A", "B")), [1, 0], {"A": 0}),
+     "R must be positive, got 0"),
+    (lambda: psi_inverse(("A", "B"), -1, {"A": -1, "B": 0}), "R must be positive, got -1"),
+    (lambda: psi_forward(("A", "B"), "A", -1, (("A",), ("A", "B")), [1, 0], {"A": -1}),
+     "R must be positive, got -1"),
+], ids=["inverse-zero", "forward-zero", "inverse-negative", "forward-negative"])
+def test_psi_maps_refuse_nonpositive_radius(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 def test_in_region_is_false_outside_the_cube():
     assert not in_region(("A", "B"), "A", ("A",), (("A",), ("A", "B")), 1, {"B": -5})
 

@@ -293,6 +293,76 @@ def test_full_subcomplex_matches_brute_force_filter(inputs, keep):
     assert sub == SimplicialComplex(kept) and _levels(sub) == _levels(SimplicialComplex(kept))
 
 
+# test-local copies, budget aside, of the construction and serialisation
+# code that filled the levels through the closing constructor and converted
+# every vertex occurrence; the oracles for the direct paths
+
+def _flag_complex_oracle(vertex_ids, disjoint_pairs, max_dim):
+    vertex_ids = sorted(set(vertex_ids))
+    adj = {v: set() for v in vertex_ids}
+    for a, b in disjoint_pairs:
+        if a in adj and b in adj:
+            adj[a].add(b)
+            adj[b].add(a)
+
+    def cliques(clique, above):
+        for i, v in enumerate(above):
+            bigger = clique + (v,)
+            yield Simplex(bigger)
+            if len(bigger) <= max_dim:
+                yield from cliques(bigger, [u for u in above[i + 1:] if u in adj[v]])
+
+    return SimplicialComplex(cliques((), vertex_ids))
+
+
+def _vertex_to_json_oracle(v):
+    return [_vertex_to_json_oracle(x) for x in v] if isinstance(v, tuple) else v
+
+
+def _complex_to_json_oracle(K):
+    return {"simplices": [[_vertex_to_json_oracle(v) for v in s] for s in K.simplices()]}
+
+
+VERTEX_KINDS = {
+    "int": lambda i: i,
+    "str": lambda i: f"S{i}+",
+    "tuple": lambda i: (i % 3, (f"v{i}",)),
+}
+
+
+@st.composite
+def labelled_graph(draw):
+    """A small_graph with int, str or tuple vertex ids."""
+    n, edges = draw(small_graph())
+    label = VERTEX_KINDS[draw(st.sampled_from(sorted(VERTEX_KINDS)))]
+    return [label(i) for i in range(n)], [(label(a), label(b)) for a, b in edges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_graph(), st.integers(0, 4))
+def test_flag_complex_matches_closing_constructor(graph, max_dim):
+    ids, edges = graph
+    K = flag_complex(ids, edges, max_dim)
+    oracle = _flag_complex_oracle(ids, edges, max_dim)
+    assert K._by_dim == oracle._by_dim
+    assert K.simplices() == oracle.simplices() and K.dim == oracle.dim
+    assert all(type(s) is Simplex for level in K._by_dim.values() for s in level)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_graph(), st.integers(0, 4))
+def test_complex_to_json_matches_per_vertex_form(graph, max_dim):
+    ids, edges = graph
+    K = flag_complex(ids, edges, max_dim)
+    # subdivision vertices are faces, tuples of tuples for tuple ids
+    small = barycentric_subdivision(flag_complex(ids[:5], edges, min(max_dim, 2)))
+    for cx in (K, small, SimplicialComplex()):
+        doc = complex_to_json(cx)
+        assert doc == _complex_to_json_oracle(cx)
+        assert simplicial.dumps(doc) == simplicial.dumps(_complex_to_json_oracle(cx))
+        assert complex_from_json(json.loads(simplicial.dumps(doc))) == cx
+
+
 # -- barycentric subdivision ----------------------------------------------------
 
 def test_bd_interval():
